@@ -1427,6 +1427,12 @@ fn xpd_counters_block(counters: &[(String, u64)]) -> Option<String> {
             get("xpd.store.corrupt")
         ));
     }
+    if misses > 0 {
+        out.push_str(&format!(
+            "  warm evaluations  {:>8}  (store misses answered inline, unqueued)\n",
+            get("xpd.warm")
+        ));
+    }
     out.push_str(&format!(
         "  in-flight joins   {:>8}\n",
         get("xpd.inflight_join")
@@ -2250,7 +2256,8 @@ mod tests {
         let counters = vec![
             ("xpd.request".to_string(), 10),
             ("xpd.store.hit".to_string(), 6),
-            ("xpd.store.miss".to_string(), 2),
+            ("xpd.store.miss".to_string(), 3),
+            ("xpd.warm".to_string(), 1),
             ("xpd.store.eviction".to_string(), 1),
             ("xpd.inflight_join".to_string(), 2),
             ("xpd.queue.enqueued".to_string(), 2),
@@ -2260,7 +2267,8 @@ mod tests {
         ];
         let block = xpd_counters_block(&counters).expect("xpd counters present");
         assert!(block.contains("serving (xpd)"), "{block}");
-        assert!(block.contains("75.0%"), "{block}");
+        assert!(block.contains("66.7%"), "{block}");
+        assert!(block.contains("warm evaluations         1"), "{block}");
         assert!(block.contains("mean 1.0 queries/batch"), "{block}");
         // Traces without daemon activity stay untouched.
         assert!(xpd_counters_block(&[("cache.hit".to_string(), 3)]).is_none());

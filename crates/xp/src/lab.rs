@@ -49,7 +49,9 @@ impl RunPoint {
     }
 }
 
-/// Cache key: the simulation-relevant parts of a configuration.
+/// Cache key: the simulation-relevant parts of a configuration. Float
+/// knobs are keyed by their exact bit patterns, so two configurations
+/// share an entry only when they simulate identically.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SimKey {
     workload: String,
@@ -61,8 +63,8 @@ struct SimKey {
     pages: String,
     l2_mode: String,
     mlp: usize,
-    compression_milli: u64,
-    clock_milli: u64,
+    compression_bits: u64,
+    clock_bits: u64,
     warp_scheduler: String,
 }
 
@@ -79,8 +81,8 @@ fn sim_key(workload: &WorkloadSpec, config: &ExpConfig) -> SimKey {
         pages: sim_cfg.page_policy.to_string(),
         l2_mode: sim_cfg.l2_mode.to_string(),
         mlp: sim_cfg.gpm.mlp_per_warp,
-        compression_milli: (sim_cfg.link_compression * 1000.0) as u64,
-        clock_milli: (config.clock_scale * 1000.0) as u64,
+        compression_bits: sim_cfg.link_compression.to_bits(),
+        clock_bits: config.clock_scale.to_bits(),
         warp_scheduler: sim_cfg.warp_scheduler.to_string(),
     }
 }
@@ -163,6 +165,14 @@ impl Lab {
         let key = sim_key(workload, config);
         self.cache
             .get_or_compute_unwrap(&key, || simulate(self.scale, workload, config))
+    }
+
+    /// Whether the counts for `(workload, config)` are already cached —
+    /// a read-only probe that never simulates and never waits on an
+    /// in-progress simulation. The cache only grows, so a `true` stays
+    /// true: [`Lab::counts`] for this pair is then a pure lookup.
+    pub fn is_cached(&self, workload: &WorkloadSpec, config: &ExpConfig) -> bool {
+        self.cache.get(&sim_key(workload, config)).is_some()
     }
 
     /// Simulates every `(workload, config)` pair on the executor's worker
@@ -325,6 +335,30 @@ mod tests {
         let cfg3 = ExpConfig::paper_default(4, BwSetting::X2);
         let _ = lab.point(&w, &cfg3);
         assert_eq!(lab.cached_runs(), 2);
+    }
+
+    #[test]
+    fn nearby_float_knobs_get_their_own_cache_entries() {
+        let lab = Lab::new(Scale::Smoke);
+        let w = by_name("Stream").unwrap();
+        let mut half = ExpConfig::paper_default(2, BwSetting::X2);
+        half.clock_scale = 0.5;
+        let mut near = half.clone();
+        near.clock_scale = 0.5009;
+        let _ = lab.counts(&w, &half);
+        assert!(lab.is_cached(&w, &half));
+        assert!(
+            !lab.is_cached(&w, &near),
+            "0.5009 must not reuse 0.5's counts"
+        );
+        let served = lab.counts(&w, &near);
+        assert_eq!(lab.cached_runs(), 2);
+        assert_eq!(*served, *simulate(Scale::Smoke, &w, &near));
+        assert_ne!(*served, *lab.counts(&w, &half), "the knob changes the run");
+
+        let compressed = ExpConfig::paper_default(2, BwSetting::X1).with_link_compression(1.5);
+        let nearly = ExpConfig::paper_default(2, BwSetting::X1).with_link_compression(1.5004);
+        assert_ne!(sim_key(&w, &compressed), sim_key(&w, &nearly));
     }
 
     #[test]

@@ -236,6 +236,11 @@ impl RegistryEngine {
         }
     }
 
+    /// The lab whose simulation cache backs every answer.
+    pub fn lab(&self) -> &Lab {
+        &self.lab
+    }
+
     fn artifact(&self, id: &str) -> Result<&dyn Artifact, String> {
         self.registry
             .get(id)
@@ -306,6 +311,31 @@ impl RegistryEngine {
         }
         o.insert("configs", rows);
         Ok(o)
+    }
+
+    /// Whether every simulation a what-if answer for `req` reads is
+    /// already in the lab: the suite at the baseline and at each delta'd
+    /// config, plus the fitted model when the artifact's plan needs it
+    /// (mirroring what [`RegistryEngine::evaluate`] primes). Plain
+    /// queries are never warm: an artifact's evaluation may do work its
+    /// plan does not declare (its own simulations, silicon replays).
+    fn is_warm(&self, req: &QueryRequest) -> bool {
+        if req.sets.is_empty() {
+            return false;
+        }
+        let Ok(artifact) = self.artifact(&req.artifact) else {
+            return false;
+        };
+        if artifact.plan().needs_fit && !validation::fit_is_cached(self.scale) {
+            return false;
+        }
+        let Ok(configs) = delta_configs(artifact, &req.sets) else {
+            return false;
+        };
+        let baseline = ExpConfig::baseline();
+        self.suite.iter().all(|w| {
+            self.lab.is_cached(w, &baseline) && configs.iter().all(|c| self.lab.is_cached(w, c))
+        })
     }
 
     /// Evaluates one request against the (already primed) lab.
@@ -388,6 +418,13 @@ impl xpd::QueryEngine for RegistryEngine {
             let _ = self.lab.prime(&points);
         }
         reqs.iter().map(|req| self.evaluate_one(req)).collect()
+    }
+
+    /// Warm for a what-if query whose every simulation (and fit, when
+    /// the plan needs one) is already cached; the lab cache only grows,
+    /// so the evaluation that follows is pure energy arithmetic.
+    fn evaluate_warm(&self, req: &QueryRequest) -> Option<Result<String, String>> {
+        self.is_warm(req).then(|| self.evaluate_one(req))
     }
 
     fn describe(&self) -> Json {

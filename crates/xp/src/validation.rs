@@ -50,6 +50,17 @@ pub fn fit_model_cached(scale: Scale) -> Arc<FittedModel> {
     )
 }
 
+/// Whether [`fit_model_cached`] already holds the fit for `scale` — a
+/// read-only probe that never starts the fitting pipeline and never
+/// blocks: a fit in progress holds the cache lock, and reads as
+/// "not cached" rather than waiting it out.
+pub fn fit_is_cached(scale: Scale) -> bool {
+    FIT_CACHE
+        .get()
+        .and_then(|cache| cache.try_lock().ok())
+        .is_some_and(|map| map.contains_key(&scale))
+}
+
 /// Table Ib: the fitted EPI/EPT values side by side with the paper's
 /// published measurements.
 pub fn table1b(fitted: &FittedModel) -> TextTable {

@@ -37,6 +37,11 @@
 //!   ([`store::Durability`]), and the whole failure surface is
 //!   exercisable deterministically via [`chaos::FaultInjector`]
 //!   (`xp serve --chaos-seed`).
+//! * **Warm answers skip the queue.** A query whose inputs the engine
+//!   already holds ([`QueryEngine::evaluate_warm`]) is evaluated on its
+//!   connection thread — never lingering for batch-mates or waiting
+//!   behind a cold batch — with the same dedup, persistence, and panic
+//!   isolation as the batch path.
 //! * **Bounded waiting.** Requests may carry a deadline; work that
 //!   expires in the queue is answered `timeout`, not silently computed.
 //!   Shutdown is graceful: stop accepting, drain in-flight work, flush
@@ -74,6 +79,22 @@ pub trait QueryEngine: Send + Sync {
     /// would write for that query (trailing newline included); `Err`
     /// carries a human-readable failure for that request alone.
     fn evaluate(&self, reqs: &[QueryRequest]) -> Vec<Result<String, String>>;
+
+    /// Evaluates `req` right away if everything it reads is already
+    /// computed — a *derived* cache hit the daemon answers on the
+    /// connection thread, like a store hit, without queueing it or
+    /// lingering for batch-mates. `None` means "not warm": the request
+    /// takes the batch path through [`QueryEngine::evaluate`].
+    ///
+    /// A `Some` answer must be byte-identical to what `evaluate` would
+    /// return for the same request, and must never start expensive
+    /// work: the check that decides warmth has to stay true until the
+    /// evaluation finishes (an append-only cache guarantees that).
+    /// Engine wrappers must forward this call, or every request they
+    /// wrap takes the batch path.
+    fn evaluate_warm(&self, _req: &QueryRequest) -> Option<Result<String, String>> {
+        None
+    }
 
     /// A JSON description of the engine (artifact ids, model version)
     /// reported in `stats` responses.

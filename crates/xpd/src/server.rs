@@ -10,12 +10,22 @@
 //! digest via engine
 //! inflight.get_or_compute ─┐
 //!   leader: store.get ──hit┼─► respond (source=store)
-//!           miss: enqueue ─┼─► pop_batch (fair, batched)
+//!           miss: warm? ───┼─► engine.evaluate_warm + store.put
+//!                          │   (inline, source=computed)
+//!           cold: enqueue ─┼─► pop_batch (fair, batched)
 //!           wait on slot   │   engine.evaluate(batch)
 //!   joiner: wait on flight │   store.put + resolve slots
 //! respond, leader removes  │
 //! the in-flight entry      │
 //! ```
+//!
+//! A *warm* miss — one whose simulations the engine already holds
+//! ([`QueryEngine::evaluate_warm`]) — costs microseconds to
+//! milliseconds of pure arithmetic, so it is answered on the leader's
+//! connection thread like a store hit: it never lingers for
+//! batch-mates, never waits behind a cold batch, and takes no queue
+//! slot. Dedup, panic isolation, and persistence are the batch path's
+//! (both persist through one helper, `persist`).
 //!
 //! The in-flight entry is removed as soon as the leader has answered:
 //! the [`ShardedCache`] is purely a dedup point, and the disk store's
@@ -110,7 +120,8 @@ impl ServerConfig {
 }
 
 /// Where an answered request's time went, in nanoseconds. All zero for
-/// answers that never reached the scheduler (store hits, errors).
+/// store hits and errors; warm answers (evaluated inline, never queued)
+/// carry only `eval` and `store_write`.
 /// Joiners share the leader's flight, so a deduped answer carries the
 /// *leader's* phases — the work that actually produced the bytes.
 #[derive(Debug, Clone, Copy, Default)]
@@ -120,7 +131,8 @@ struct PhaseNanos {
     /// The batch window spent waiting for batch-mates.
     batch_linger: u64,
     /// Engine evaluation wall time of the whole batch (the requester
-    /// waits for all of it, so that is the honest per-request number).
+    /// waits for all of it, so that is the honest per-request number),
+    /// or of the one inline evaluation for a warm answer.
     eval: u64,
     /// Persisting this answer to the store.
     store_write: u64,
@@ -197,6 +209,8 @@ struct Counters {
     requests: ScopedCounter,
     store_hits: ScopedCounter,
     store_misses: ScopedCounter,
+    /// Store misses answered inline by [`QueryEngine::evaluate_warm`].
+    warm: ScopedCounter,
     inflight_joins: ScopedCounter,
     enqueued: ScopedCounter,
     rejected: ScopedCounter,
@@ -212,6 +226,7 @@ impl Counters {
             requests: ScopedCounter::new("xpd.request"),
             store_hits: ScopedCounter::new("xpd.store.hit"),
             store_misses: ScopedCounter::new("xpd.store.miss"),
+            warm: ScopedCounter::new("xpd.warm"),
             inflight_joins: ScopedCounter::new("xpd.inflight_join"),
             enqueued: ScopedCounter::new("xpd.queue.enqueued"),
             rejected: ScopedCounter::new("xpd.queue.rejected"),
@@ -887,21 +902,23 @@ fn handle_query(
     id: u64,
     request: &QueryRequest,
 ) -> (QueryResponse, PhaseNanos) {
+    // The deadline clock starts when the request is parsed, before the
+    // engine digests it. Joiners share the leader's flight, so the
+    // leader's deadline governs a deduped answer — a joiner with a
+    // tighter deadline still gets the payload when the leader does
+    // (documented trade: dedup identity is the digest, and the deadline
+    // is deliberately not part of it).
+    let deadline = request
+        .deadline_ms
+        .map(|ms| Instant::now() + Duration::from_millis(ms));
     let digest = match shared.engine.digest(request) {
         Ok(d) => d,
         Err(e) => return (QueryResponse::error(e), PhaseNanos::default()),
     };
-    // The deadline clock starts when the request is parsed. Joiners
-    // share the leader's flight, so the leader's deadline governs a
-    // deduped answer — a joiner with a tighter deadline still gets the
-    // payload when the leader does (documented trade: dedup identity is
-    // the digest, and the deadline is deliberately not part of it).
-    let deadline = request
-        .deadline_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
     // The dedup point: the first requester of a digest leads (checks
-    // the store, enqueues on a miss, waits); concurrent requesters of
-    // the same digest join the leader's flight and share its answer.
+    // the store, evaluates a warm miss inline, enqueues a cold one and
+    // waits); concurrent requesters of the same digest join the
+    // leader's flight and share its answer.
     let mut led = false;
     let outcome = shared.inflight.get_or_compute(&digest, || {
         led = true;
@@ -927,8 +944,9 @@ fn handle_query(
     }
 }
 
-/// The leader's path on an in-flight miss: serve from the store or
-/// enqueue for the scheduler and wait.
+/// The leader's path on an in-flight miss: serve from the store,
+/// evaluate inline when the engine reports the miss warm, or enqueue
+/// for the scheduler and wait.
 fn answer_cold(
     shared: &Arc<Shared>,
     client: u64,
@@ -949,6 +967,9 @@ fn answer_cold(
         if Instant::now() >= d {
             return timed_out(shared, request);
         }
+    }
+    if let Some(answer) = answer_warm(shared, digest, request) {
+        return answer;
     }
     let slot = Arc::new(Slot::new());
     let job = Job {
@@ -974,6 +995,54 @@ fn answer_cold(
             Answer::Busy(format!("request queue full ({cap} pending); retry later"))
         }
     }
+}
+
+/// The warm path: evaluates `request` inline when the engine reports
+/// everything it reads as already computed, or returns `None` to send
+/// it through the queue. Runs inside the leader's in-flight flight, so
+/// concurrent identical requests still evaluate once.
+fn answer_warm(shared: &Arc<Shared>, digest: &str, request: &QueryRequest) -> Option<Answer> {
+    let begun = Instant::now();
+    let result = catch_unwind(AssertUnwindSafe(|| shared.engine.evaluate_warm(request)));
+    let eval = begun.elapsed().as_nanos() as u64;
+    let answer = match result {
+        Ok(None) => return None,
+        Ok(Some(Ok(payload))) => {
+            let phases = PhaseNanos {
+                eval,
+                ..PhaseNanos::default()
+            };
+            persist(shared, digest, payload, phases)
+        }
+        Ok(Some(Err(message))) => Answer::Failed(message),
+        Err(payload) => Answer::Failed(format!(
+            "engine panicked: {}",
+            panic_message(payload.as_ref())
+        )),
+    };
+    shared.counters.warm.add(1);
+    shared.latency.eval.record_nanos(eval);
+    Some(answer)
+}
+
+/// Persists a computed payload and builds its answer — the one place
+/// both the scheduler and the warm path turn engine output into
+/// `Source::Computed` answers. `phases.store_write` is filled in here.
+fn persist(shared: &Arc<Shared>, digest: &str, payload: String, phases: PhaseNanos) -> Answer {
+    let put_begun = Instant::now();
+    if let Err(e) = shared.store.put(digest, &payload) {
+        eprintln!("xpd: store put failed: {e}");
+    }
+    let store_write = put_begun.elapsed().as_nanos() as u64;
+    shared.latency.store_write.record_nanos(store_write);
+    Answer::Ready(
+        Source::Computed,
+        Arc::new(payload),
+        PhaseNanos {
+            store_write,
+            ..phases
+        },
+    )
 }
 
 /// Records one expired request and builds its answer.
@@ -1047,28 +1116,19 @@ fn scheduler_loop(shared: &Arc<Shared>, batch_max: usize, batch_window: Duration
                             batch.len()
                         ))
                     });
-                    match result {
+                    let answer = match result {
                         Ok(payload) => {
-                            let put_begun = Instant::now();
-                            if let Err(e) = shared.store.put(&job.digest, &payload) {
-                                eprintln!("xpd: store put failed: {e}");
-                            }
-                            let store_write = put_begun.elapsed().as_nanos() as u64;
-                            shared.latency.store_write.record_nanos(store_write);
                             let phases = PhaseNanos {
                                 queue_wait: waits[i],
                                 batch_linger: linger_nanos,
                                 eval: eval_nanos,
-                                store_write,
+                                store_write: 0,
                             };
-                            job.slot.set(Answer::Ready(
-                                Source::Computed,
-                                Arc::new(payload),
-                                phases,
-                            ));
+                            persist(shared, &job.digest, payload, phases)
                         }
-                        Err(message) => job.slot.set(Answer::Failed(message)),
-                    }
+                        Err(message) => Answer::Failed(message),
+                    };
+                    job.slot.set(answer);
                 }
             }
             Err(payload) => {
@@ -1114,6 +1174,7 @@ fn stats_json(shared: &Arc<Shared>) -> Json {
 
     let mut o = Json::object();
     o.insert("requests", load(&c.requests));
+    o.insert("warm", load(&c.warm));
     o.insert("inflight_joins", load(&c.inflight_joins));
     o.insert("store", store_json);
     o.insert("queue", queue_json);

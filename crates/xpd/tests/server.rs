@@ -1,8 +1,8 @@
 //! Integration tests for the daemon itself, driven through real
 //! sockets with a mock [`QueryEngine`]: compute-then-store-hit flow,
-//! restart persistence, error containment, backpressure, and a
-//! concurrent-clients property asserting exactly-once evaluation per
-//! unique digest.
+//! restart persistence, error containment, backpressure, the inline
+//! warm path, and a concurrent-clients property asserting exactly-once
+//! evaluation per unique digest.
 
 use common::digest::Fnv1a;
 use common::json::Json;
@@ -58,6 +58,10 @@ impl Gate {
         self.changed.notify_all();
     }
 
+    fn close(&self) {
+        self.state.lock().unwrap().0 = false;
+    }
+
     fn wait_entered(&self, n: usize) {
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut state = self.state.lock().unwrap();
@@ -75,11 +79,19 @@ impl Gate {
 /// A deterministic engine: digests are content hashes of the request,
 /// payloads are canned, and every evaluation is counted per digest.
 /// `artifact == "fail-*"` evaluates to an error, `"explode"` panics,
-/// and `"bad"` fails at digest time.
+/// and `"bad"` fails at digest time. `"warm*"` artifacts are answered
+/// by `evaluate_warm` (where `"warm-explode"` panics); everything else
+/// is cold.
 #[derive(Default)]
 struct MockEngine {
     evaluated: Mutex<HashMap<String, usize>>,
+    /// Parks batch `evaluate` calls.
     gate: Option<Arc<Gate>>,
+    /// Parks `evaluate_warm` calls that are about to answer.
+    warm_gate: Option<Arc<Gate>>,
+    /// Parks `digest` calls: holds a parsed request short of the
+    /// in-flight point while a test changes the daemon's state.
+    digest_gate: Option<Arc<Gate>>,
 }
 
 impl MockEngine {
@@ -104,6 +116,9 @@ impl MockEngine {
 
 impl QueryEngine for MockEngine {
     fn digest(&self, request: &QueryRequest) -> Result<String, String> {
+        if let Some(gate) = &self.digest_gate {
+            gate.enter_and_wait_open();
+        }
         if request.artifact == "bad" {
             return Err(format!("no such artifact {:?}", request.artifact));
         }
@@ -128,6 +143,21 @@ impl QueryEngine for MockEngine {
                 Ok(mock_payload(request))
             })
             .collect()
+    }
+
+    fn evaluate_warm(&self, request: &QueryRequest) -> Option<Result<String, String>> {
+        if !request.artifact.starts_with("warm") {
+            return None;
+        }
+        if request.artifact == "warm-explode" {
+            panic!("mock engine exploded while warm");
+        }
+        if let Some(gate) = &self.warm_gate {
+            gate.enter_and_wait_open();
+        }
+        let digest = Self::digest_of(request);
+        *self.evaluated.lock().unwrap().entry(digest).or_insert(0) += 1;
+        Some(Ok(mock_payload(request)))
     }
 
     fn describe(&self) -> Json {
@@ -352,8 +382,8 @@ fn a_full_queue_answers_busy_instead_of_blocking() {
     let dir = temp_dir("busy");
     let gate = Arc::new(Gate::default());
     let engine = Arc::new(MockEngine {
-        evaluated: Mutex::new(HashMap::new()),
         gate: Some(Arc::clone(&gate)),
+        ..MockEngine::default()
     });
     let mut config = ServerConfig::new(dir.join("store"));
     config.queue_cap = 1;
@@ -462,8 +492,8 @@ fn an_expired_deadline_is_answered_timeout_not_computed() {
     let dir = temp_dir("deadline");
     let gate = Arc::new(Gate::default());
     let engine = Arc::new(MockEngine {
-        evaluated: Mutex::new(HashMap::new()),
         gate: Some(Arc::clone(&gate)),
+        ..MockEngine::default()
     });
     let mut config = ServerConfig::new(dir.join("store"));
     config.batch_max = 1;
@@ -520,8 +550,8 @@ fn a_retrying_client_rides_out_busy_backpressure() {
     let dir = temp_dir("busy-retry");
     let gate = Arc::new(Gate::default());
     let engine = Arc::new(MockEngine {
-        evaluated: Mutex::new(HashMap::new()),
         gate: Some(Arc::clone(&gate)),
+        ..MockEngine::default()
     });
     let mut config = ServerConfig::new(dir.join("store"));
     config.queue_cap = 1;
@@ -646,6 +676,13 @@ fn metrics_serves_json_and_prometheus_renderings() {
         .and_then(Json::as_f64)
         .unwrap_or(0.0);
     assert!(requests >= 3.0, "saw {requests} cumulative requests");
+    assert!(
+        doc.get("counters")
+            .and_then(|c| c.get("xpd.warm"))
+            .and_then(Json::as_f64)
+            .is_some(),
+        "the warm-evaluation counter is exported"
+    );
     let window = doc.get("window_1m").expect("windowed rollup");
     assert!(window.get("elapsed_secs").and_then(Json::as_f64).unwrap() > 0.0);
     assert!(
@@ -672,6 +709,7 @@ fn metrics_serves_json_and_prometheus_renderings() {
         .expect("prometheus text rides as one JSON string")
         .to_string();
     assert!(text.contains("# TYPE xpd_requests_total counter"), "{text}");
+    assert!(text.contains("# TYPE xpd_warm_total counter"), "{text}");
     assert!(text.contains("# TYPE xpd_queue_depth gauge"), "{text}");
     assert!(
         text.contains("# TYPE xpd_request_duration summary"),
@@ -857,6 +895,210 @@ fn a_quarantined_payload_dumps_the_flight_recorder() {
         "dump contains request events"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One number from a `stats` response.
+fn stat(endpoint: &Endpoint, path: &[&str]) -> f64 {
+    let stats = client::request(endpoint, &QueryRequest::stats(), None)
+        .unwrap()
+        .stats
+        .expect("stats payload");
+    let mut j = &stats;
+    for key in path {
+        j = j
+            .get(key)
+            .unwrap_or_else(|| panic!("stats missing {path:?}"));
+    }
+    j.as_f64().unwrap()
+}
+
+/// Polls `health` until `n` queries are between parse and respond.
+fn wait_inflight(endpoint: &Endpoint, n: f64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let health = client::request(endpoint, &QueryRequest::health(), None)
+            .unwrap()
+            .stats
+            .unwrap();
+        if health.get("inflight").and_then(Json::as_f64) == Some(n) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "never saw {n} queries in flight");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn a_warm_query_is_answered_while_a_cold_batch_is_blocked() {
+    let dir = temp_dir("warm-hol");
+    let gate = Arc::new(Gate::default());
+    let engine = Arc::new(MockEngine {
+        gate: Some(Arc::clone(&gate)),
+        ..MockEngine::default()
+    });
+    let mut config = ServerConfig::new(dir.join("store"));
+    config.batch_max = 1;
+    config.batch_window = Duration::from_millis(1);
+    let (endpoint, handle) = start_tcp(config, Arc::clone(&engine));
+
+    // Park the scheduler inside a cold batch.
+    let cold = {
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || client::request(&endpoint, &QueryRequest::query("a"), None))
+    };
+    gate.wait_entered(1);
+
+    // The warm query is not stuck behind it: it never enters the queue
+    // (the timeout turns a regression into a failure, not a hang).
+    let request = QueryRequest::query("warm-x").with_set("link_energy_mult", "2");
+    let warm = client::request(
+        &endpoint,
+        &request.clone().with_timing(),
+        Some(Duration::from_secs(10)),
+    )
+    .expect("answered while the cold batch is parked");
+    assert_eq!(warm.status, "ok", "error: {:?}", warm.error);
+    assert_eq!(warm.source, Some(Source::Computed));
+    assert_eq!(
+        warm.payload.as_deref(),
+        Some(mock_payload(&request).as_str())
+    );
+    let timing = warm.timing.as_ref().expect("timing breakdown");
+    let phase = |key: &str| timing.get(key).and_then(Json::as_f64).unwrap();
+    assert_eq!(phase("queue_wait_ms"), 0.0);
+    assert_eq!(phase("batch_linger_ms"), 0.0);
+    assert!(phase("eval_ms") > 0.0, "{}", timing.render());
+    assert!(phase("store_write_ms") > 0.0, "{}", timing.render());
+    assert_eq!(stat(&endpoint, &["warm"]), 1.0);
+    assert_eq!(stat(&endpoint, &["store", "misses"]), 2.0, "warm is a miss");
+    assert_eq!(
+        stat(&endpoint, &["queue", "enqueued"]),
+        1.0,
+        "only the cold one"
+    );
+
+    // It was persisted like any computed answer: the repeat is a hit.
+    let again = ok_query(&endpoint, &request);
+    assert_eq!(again.source, Some(Source::Store));
+    assert_eq!(again.payload, warm.payload);
+    assert_eq!(engine.evaluations(&MockEngine::digest_of(&request)), 1);
+
+    gate.open();
+    let cold = cold.join().unwrap().unwrap();
+    assert_eq!(cold.status, "ok", "error: {:?}", cold.error);
+    shutdown(&endpoint, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_panicking_warm_evaluation_is_contained() {
+    let dir = temp_dir("warm-panic");
+    let engine = Arc::new(MockEngine::default());
+    let (endpoint, handle) = start_tcp(ServerConfig::new(dir.join("store")), engine);
+
+    let panicked = client::request(&endpoint, &QueryRequest::query("warm-explode"), None).unwrap();
+    assert_eq!(panicked.status, "error");
+    assert!(panicked.error.unwrap().contains("engine panicked"));
+
+    // The daemon keeps serving, warm and cold alike.
+    assert_eq!(
+        ok_query(&endpoint, &QueryRequest::query("warm-after")).source,
+        Some(Source::Computed)
+    );
+    assert_eq!(
+        ok_query(&endpoint, &QueryRequest::query("cold-after")).source,
+        Some(Source::Computed)
+    );
+    shutdown(&endpoint, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn warm_queries_still_honor_deadlines_and_draining() {
+    let dir = temp_dir("warm-deadline");
+    let gate = Arc::new(Gate::default());
+    let engine = Arc::new(MockEngine {
+        digest_gate: Some(Arc::clone(&gate)),
+        ..MockEngine::default()
+    });
+    let mut config = ServerConfig::new(dir.join("store"));
+    config.tcp = Some("127.0.0.1:0".to_string());
+    let server = Server::bind(config, Arc::clone(&engine) as Arc<dyn QueryEngine>).unwrap();
+    let endpoint = Endpoint::Tcp(server.tcp_addr().unwrap().to_string());
+    let stop = server.stop_handle();
+    let handle = std::thread::spawn(move || server.run());
+
+    // Expired while parked short of the in-flight point: `timeout`.
+    let late = QueryRequest::query("warm-late").with_deadline_ms(1);
+    let doomed = {
+        let (endpoint, late) = (endpoint.clone(), late.clone());
+        std::thread::spawn(move || client::request(&endpoint, &late, None))
+    };
+    gate.wait_entered(1);
+    std::thread::sleep(Duration::from_millis(20));
+    gate.open();
+    let response = doomed.join().unwrap().unwrap();
+    assert_eq!(response.status, "timeout", "error: {:?}", response.error);
+
+    // Parked the same way while the daemon starts draining: `busy`.
+    gate.close();
+    let drained = {
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || {
+            client::request(&endpoint, &QueryRequest::query("warm-drained"), None)
+        })
+    };
+    gate.wait_entered(2);
+    stop.stop();
+    gate.open();
+    let response = drained.join().unwrap().unwrap();
+    assert_eq!(response.status, "busy", "error: {:?}", response.error);
+    for request in [late, QueryRequest::query("warm-drained")] {
+        assert_eq!(engine.evaluations(&MockEngine::digest_of(&request)), 0);
+    }
+    handle.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_identical_warm_queries_evaluate_once() {
+    const N: usize = 4;
+    let dir = temp_dir("warm-dedup");
+    let gate = Arc::new(Gate::default());
+    let engine = Arc::new(MockEngine {
+        warm_gate: Some(Arc::clone(&gate)),
+        ..MockEngine::default()
+    });
+    let (endpoint, handle) = start_tcp(ServerConfig::new(dir.join("store")), Arc::clone(&engine));
+
+    let request = QueryRequest::query("warm-same").with_set("link_energy_mult", "4");
+    let clients: Vec<_> = (0..N)
+        .map(|_| {
+            let (endpoint, request) = (endpoint.clone(), request.clone());
+            std::thread::spawn(move || client::request(&endpoint, &request, None))
+        })
+        .collect();
+    // One leader is parked in `evaluate_warm`; wait for the rest to be
+    // in flight (and give them a moment to reach the dedup point).
+    gate.wait_entered(1);
+    wait_inflight(&endpoint, N as f64);
+    std::thread::sleep(Duration::from_millis(50));
+    gate.open();
+
+    for client in clients {
+        let response = client.join().unwrap().unwrap();
+        assert_eq!(response.status, "ok", "error: {:?}", response.error);
+        assert_eq!(
+            response.payload.as_deref(),
+            Some(mock_payload(&request).as_str())
+        );
+    }
+    assert_eq!(engine.evaluations(&MockEngine::digest_of(&request)), 1);
+    assert_eq!(stat(&endpoint, &["warm"]), 1.0);
+    assert_eq!(stat(&endpoint, &["inflight_joins"]), (N - 1) as f64);
+    assert_eq!(stat(&endpoint, &["queue", "enqueued"]), 0.0);
+    shutdown(&endpoint, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
