@@ -22,6 +22,7 @@ use crate::configs::ExpConfig;
 use crate::lab::Lab;
 use common::json::Json;
 use common::stats;
+use std::collections::HashSet;
 use std::fmt;
 use workloads::WorkloadSpec;
 
@@ -162,6 +163,20 @@ impl SweepPlan {
         self.configs.extend(other.configs);
         self.needs_fit |= other.needs_fit;
     }
+
+    /// The planned configs without exact repeats, in first-occurrence
+    /// order: what a sweep of this plan covers. `configs` itself keeps
+    /// every entry as declared, because its order and multiplicity feed
+    /// [`crate::query::artifact_digest`] (the `--resume` journal and
+    /// `xpd` store keys).
+    pub fn distinct_configs(&self) -> Vec<ExpConfig> {
+        let mut seen = HashSet::new();
+        self.configs
+            .iter()
+            .filter(|cfg| seen.insert(format!("{cfg:?}")))
+            .cloned()
+            .collect()
+    }
 }
 
 /// The evaluated result of one artifact: the exact text the historical
@@ -197,16 +212,6 @@ pub trait Artifact: Send + Sync {
     /// artifacts (excluded from `xp run all` to avoid double work).
     fn composite(&self) -> bool {
         false
-    }
-
-    /// The text rendering of an evaluation.
-    fn render_text(&self, data: &ArtifactData) -> String {
-        data.text.clone()
-    }
-
-    /// The JSON payload of an evaluation.
-    fn to_json(&self, data: &ArtifactData) -> Json {
-        data.json.clone()
     }
 }
 
@@ -259,6 +264,16 @@ mod tests {
         )]));
         assert_eq!(a.configs.len(), 2);
         assert!(a.needs_fit);
+    }
+
+    #[test]
+    fn distinct_configs_keep_first_occurrence_order_and_leave_the_plan_alone() {
+        use sim::BwSetting;
+        let two = ExpConfig::paper_default(2, BwSetting::X1);
+        let four = ExpConfig::paper_default(4, BwSetting::X2);
+        let plan = SweepPlan::sweep(vec![two.clone(), four.clone(), two.clone()]);
+        assert_eq!(plan.distinct_configs(), vec![two, four]);
+        assert_eq!(plan.configs.len(), 3, "the declared plan keeps its repeats");
     }
 
     #[test]

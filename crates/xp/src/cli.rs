@@ -15,12 +15,10 @@
 //! count, wall time, and the prime sweep's report and metrics.
 
 use crate::artifact::{ArtifactError, ArtifactErrorKind, SweepPlan};
-use crate::configs::ExpConfig;
 use crate::figures::default_suite;
 use crate::lab::Lab;
-use crate::query::{artifact_digest, config_digest, RegistryEngine, SET_KEYS};
+use crate::query::{artifact_digest, artifact_file_bytes, config_digest, RegistryEngine, SET_KEYS};
 use crate::registry::{ArtifactRegistry, RegistryOptions};
-use crate::validation;
 use common::json::Json;
 use runtime::{FaultPlan, RetryPolicy};
 use std::io::Write;
@@ -1565,38 +1563,16 @@ fn run(opts: &RunOptions) -> i32 {
     let _sensor_guard = SensorFaultGuard;
     let suite = default_suite();
 
-    // Union the plans of the artifacts that will actually run.
+    // Union the plans of the artifacts that will actually run and prime
+    // them in one batch (fit included), so artifact-internal primes and
+    // fits become cache hits. A fully-resumed batch primes nothing.
     let mut plan = SweepPlan::none();
     for id in &to_run {
         plan.merge(registry.get(id).unwrap().plan());
     }
-    let mut configs: Vec<ExpConfig> = Vec::new();
-    let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for cfg in plan.configs {
-        if seen.insert(format!("{cfg:?}")) {
-            configs.push(cfg);
-        }
-    }
+    let configs = plan.distinct_configs();
     let digest = config_digest(&configs);
-
-    // Pre-warm the shared fit cache so per-artifact fits are lookups.
-    if plan.needs_fit {
-        let _ = validation::fit_model_cached(opts.scale);
-    }
-
-    // One batch prime through the executor; artifact-internal primes
-    // against the same points become cache hits. A fully-resumed batch
-    // primes nothing.
-    let mut points = Vec::with_capacity(suite.len() * (configs.len() + 1));
-    if !to_run.is_empty() {
-        for w in &suite {
-            points.push((w.clone(), ExpConfig::baseline()));
-            for cfg in &configs {
-                points.push((w.clone(), cfg.clone()));
-            }
-        }
-    }
-    let sweep_report = lab.prime(&points);
+    let sweep_report = lab.prime_plan(&suite, &plan);
 
     // The journal is rewritten each run: surviving records are carried
     // over as artifacts are visited, fresh records appended and flushed
@@ -1694,16 +1670,14 @@ fn run(opts: &RunOptions) -> i32 {
                 if let Some(dir) = &opts.out {
                     let file = format!("{id}.json");
                     let path = dir.join(&file);
-                    if let Err(e) =
-                        std::fs::write(&path, format!("{}\n", data.json.render_pretty()))
-                    {
+                    if let Err(e) = std::fs::write(&path, artifact_file_bytes(&data.json)) {
                         eprintln!("xp run: cannot write {}: {e}", path.display());
                         return 1;
                     }
                     entry.insert("file", file.as_str());
                     journal_rec.insert("file", file.as_str());
                 } else if opts.format.wants_json() {
-                    println!("{}", data.json.render_pretty());
+                    print!("{}", artifact_file_bytes(&data.json));
                 }
             }
             Err(err) => {
@@ -1886,6 +1860,8 @@ fn check(dir: &Path) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::configs::ExpConfig;
+    use crate::query::query_digest;
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -2017,6 +1993,25 @@ mod tests {
         // never shift it (it gates `--resume`). If this value changes,
         // the sweep's meaning changed — not just its speed.
         assert_eq!(config_digest(&[ExpConfig::baseline()]), "c0388d6bd40c1e46");
+
+        // Journal and store keys digest the plan *as declared*. The
+        // reproduction report's plan repeats configs across figures, so
+        // deduplicating inside `SweepPlan` would re-key every `--resume`
+        // journal and stored answer — and fail here.
+        let registry = ArtifactRegistry::standard(&RegistryOptions { validation: true });
+        let report_plan = registry.get("repro_report").unwrap().plan();
+        assert!(report_plan.distinct_configs().len() < report_plan.configs.len());
+        assert_eq!(
+            artifact_digest(&report_plan, Scale::Smoke, true),
+            "c489c66372131325"
+        );
+        let sets =
+            [("gpms", "2"), ("link_energy_mult", "2")].map(|(k, v)| (k.to_string(), v.to_string()));
+        let fig2_plan = registry.get("fig2").unwrap().plan();
+        assert_eq!(
+            query_digest("fig2", &sets, &fig2_plan, Scale::Smoke, false),
+            "b1c32adfc3c6b624"
+        );
     }
 
     #[test]

@@ -8,12 +8,17 @@
 //!
 //! Since the runtime port, the cache is a [`runtime::ShardedCache`] shared
 //! across threads and sweeps go through a [`runtime::SweepExecutor`]:
-//! figure generators call [`Lab::prime`] (or [`Lab::prime_suite`]) to
-//! simulate every point of their sweep in parallel, then evaluate
-//! serially against the warm cache, so the printed output is byte-for-byte
-//! identical no matter how many worker threads ran the simulations.
+//! callers prime a [`SweepPlan`] ([`Lab::prime_plan`], or
+//! [`Lab::prime_suite`] for a bare config list) to simulate every point
+//! of it in parallel, then evaluate serially against the warm cache, so
+//! the printed output is byte-for-byte identical no matter how many
+//! worker threads ran the simulations. [`Lab::plan_is_cached`] is the
+//! read-only twin: it probes the very points a prime of the same plan
+//! fills.
 
+use crate::artifact::SweepPlan;
 use crate::configs::ExpConfig;
+use crate::validation;
 use common::units::Time;
 use gpujoule::{EdpScalingEfficiency, EnergyBreakdown, EnergyDelay};
 use isa::EventCounts;
@@ -87,6 +92,27 @@ fn sim_key(workload: &WorkloadSpec, config: &ExpConfig) -> SimKey {
     }
 }
 
+/// The simulations evaluating `plan` over `suite` reads: each workload at
+/// the 1-GPM baseline (every metric normalizes to it), then at each of
+/// the plan's distinct configs. A plan without configs reads none. This
+/// is the only enumeration of a plan's points — [`Lab::prime_plan`] fills
+/// them and [`Lab::plan_is_cached`] probes them, so the two cannot drift.
+fn plan_points(suite: &[WorkloadSpec], plan: &SweepPlan) -> Vec<(WorkloadSpec, ExpConfig)> {
+    let configs = plan.distinct_configs();
+    if configs.is_empty() {
+        return Vec::new();
+    }
+    let baseline = ExpConfig::baseline();
+    let mut points = Vec::with_capacity(suite.len() * (configs.len() + 1));
+    for w in suite {
+        points.push((w.clone(), baseline.clone()));
+        for cfg in &configs {
+            points.push((w.clone(), cfg.clone()));
+        }
+    }
+    points
+}
+
 /// Runs the simulator for one `(workload, config)` point.
 fn simulate(scale: Scale, workload: &WorkloadSpec, config: &ExpConfig) -> Arc<EventCounts> {
     let sim_cfg = config.sim_config();
@@ -100,8 +126,8 @@ fn simulate(scale: Scale, workload: &WorkloadSpec, config: &ExpConfig) -> Arc<Ev
 ///
 /// [`Lab::new`] is serial (one thread, no pool) — the exact semantics the
 /// lab had before the runtime port, which unit tests and benches rely on.
-/// Binaries construct a parallel lab through [`crate::lab_from_args`],
-/// which honors `--threads N` and `MMGPU_THREADS`.
+/// The `xp` driver constructs a parallel lab with [`Lab::with_threads`]
+/// from `--threads N` or `MMGPU_THREADS`.
 pub struct Lab {
     scale: Scale,
     cache: Arc<ShardedCache<SimKey, Arc<EventCounts>>>,
@@ -200,10 +226,35 @@ impl Lab {
         report
     }
 
-    /// Primes the cross product `suite x (configs + the 1-GPM baseline)`.
-    /// Figure generators call this before their serial evaluation loops:
-    /// every metric (EDPSE, speedup, energy ratio) needs the baseline, so
-    /// it is always included.
+    /// Primes everything evaluating `plan` over `suite` reads: the fitted
+    /// model when the plan needs it, then the suite at the 1-GPM baseline
+    /// and at each of the plan's distinct configs, in one executor sweep.
+    /// Returns that sweep's report (empty when the plan has no configs).
+    pub fn prime_plan(
+        &self,
+        suite: &[WorkloadSpec],
+        plan: &SweepPlan,
+    ) -> SweepReport<Arc<EventCounts>> {
+        if plan.needs_fit {
+            let _ = validation::fit_model_cached(self.scale);
+        }
+        self.prime(&plan_points(suite, plan))
+    }
+
+    /// Whether everything [`Lab::prime_plan`] would fill for `plan` is
+    /// already here — a read-only probe over the same points that never
+    /// simulates, never fits, and never waits on work in progress. Both
+    /// caches only grow, so a `true` stays true.
+    pub fn plan_is_cached(&self, suite: &[WorkloadSpec], plan: &SweepPlan) -> bool {
+        (!plan.needs_fit || validation::fit_is_cached(self.scale))
+            && plan_points(suite, plan)
+                .iter()
+                .all(|(w, c)| self.is_cached(w, c))
+    }
+
+    /// Primes `suite x configs` (plus the 1-GPM baseline) as a pure sweep
+    /// plan. Figure generators call this before their serial evaluation
+    /// loops.
     ///
     /// A point that fails even after the executor's retries surfaces
     /// here as the sweep's first [`SweepError`], so callers report a
@@ -214,14 +265,7 @@ impl Lab {
         suite: &[WorkloadSpec],
         configs: &[ExpConfig],
     ) -> Result<(), SweepError> {
-        let mut points = Vec::with_capacity(suite.len() * (configs.len() + 1));
-        for w in suite {
-            points.push((w.clone(), ExpConfig::baseline()));
-            for cfg in configs {
-                points.push((w.clone(), cfg.clone()));
-            }
-        }
-        let report = self.prime(points.as_slice());
+        let report = self.prime_plan(suite, &SweepPlan::sweep(configs.to_vec()));
         match report.first_error() {
             Some(err) => Err(err.clone()),
             None => Ok(()),

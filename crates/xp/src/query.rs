@@ -11,21 +11,23 @@
 //! * **Config deltas.** [`apply_sets`] maps `--set key=value` pairs
 //!   ("fig6 at 2× inter-GPM bandwidth") onto an [`ExpConfig`].
 //! * **[`RegistryEngine`]**, the [`xpd::QueryEngine`] implementation
-//!   over the artifact registry and a [`Lab`]: batches of cold queries
-//!   union their sweep plans into one executor prime (the same trick
-//!   `xp run` plays across artifacts), then evaluate serially against
-//!   the warm cache.
+//!   over the artifact registry and a [`Lab`]. Every request maps to one
+//!   [`SweepPlan`] (`RegistryEngine::request_plan`: the artifact's plan,
+//!   or its delta'd configs for a what-if). A cold batch merges its
+//!   requests' plans into one [`Lab::prime_plan`] — the same call `xp
+//!   run` makes for its artifacts — then evaluates serially against the
+//!   warm cache; the warm probe asks [`Lab::plan_is_cached`] about the
+//!   same plan, so it checks exactly the points a prime would fill.
 //!
-//! Payload bytes are produced by [`artifact_file_bytes`] — the exact
-//! bytes `xp run --out` writes — so a daemon answer for a plain query
-//! is byte-identical to the file a local run would have produced.
+//! Payload bytes are produced by [`artifact_file_bytes`], which `xp run
+//! --out` also writes through, so a daemon answer for a plain query is
+//! byte-identical to the file a local run produces.
 
 use crate::artifact::{geomean_of, mean_of, Artifact, SweepPlan};
 use crate::configs::ExpConfig;
 use crate::figures::default_suite;
 use crate::lab::Lab;
 use crate::registry::{ArtifactRegistry, RegistryOptions};
-use crate::validation;
 use common::digest::Fnv1a;
 use common::json::Json;
 use common::proto::QueryRequest;
@@ -79,10 +81,10 @@ pub fn query_digest(
     h.hex()
 }
 
-/// The exact bytes `xp run --out` writes for an artifact payload: the
-/// pretty rendering plus the driver's own trailing newline. The daemon
-/// serves these bytes verbatim, which is what makes warm answers
-/// byte-identical to a local run.
+/// The bytes of an artifact payload file: the pretty rendering plus a
+/// trailing newline. `xp run --out` writes them and the daemon serves
+/// them verbatim, which is what makes its answers byte-identical to a
+/// local run.
 pub fn artifact_file_bytes(json: &Json) -> String {
     format!("{}\n", json.render_pretty())
 }
@@ -184,31 +186,6 @@ pub fn apply_sets(base: &ExpConfig, sets: &[(String, String)]) -> Result<ExpConf
     Ok(cfg)
 }
 
-/// The what-if sweep for one query: the artifact's planned configs with
-/// the deltas applied, deduplicated. Errors when the artifact has no
-/// sweep to re-parameterize (static tables, fit-only artifacts).
-fn delta_configs(
-    artifact: &dyn Artifact,
-    sets: &[(String, String)],
-) -> Result<Vec<ExpConfig>, String> {
-    let plan = artifact.plan();
-    if plan.configs.is_empty() {
-        return Err(format!(
-            "artifact {} has no sweep plan to re-parameterize with --set",
-            artifact.id()
-        ));
-    }
-    let mut configs: Vec<ExpConfig> = Vec::new();
-    let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for cfg in &plan.configs {
-        let cfg = apply_sets(cfg, sets)?;
-        if seen.insert(format!("{cfg:?}")) {
-            configs.push(cfg);
-        }
-    }
-    Ok(configs)
-}
-
 /// The [`xpd::QueryEngine`] over the artifact registry: digests queries
 /// with [`query_digest`] and evaluates cold batches through one shared
 /// [`Lab`].
@@ -245,6 +222,34 @@ impl RegistryEngine {
         self.registry
             .get(id)
             .ok_or_else(|| format!("unknown artifact {id:?} (try `xp list`)"))
+    }
+
+    /// What answering `req` reads, as a plan: the artifact's own plan for
+    /// a plain query; for a what-if, its planned configs with the deltas
+    /// applied (plus its fit, if it needs one). Errors name an unknown
+    /// artifact, a bad delta, or an artifact with no sweep to
+    /// re-parameterize (static tables, fit-only artifacts).
+    fn request_plan(&self, req: &QueryRequest) -> Result<SweepPlan, String> {
+        let artifact = self.artifact(&req.artifact)?;
+        let plan = artifact.plan();
+        if req.sets.is_empty() {
+            return Ok(plan);
+        }
+        if plan.configs.is_empty() {
+            return Err(format!(
+                "artifact {} has no sweep plan to re-parameterize with --set",
+                artifact.id()
+            ));
+        }
+        let configs = plan
+            .configs
+            .iter()
+            .map(|cfg| apply_sets(cfg, &req.sets))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(SweepPlan {
+            configs,
+            needs_fit: plan.needs_fit,
+        })
     }
 
     /// Renders the what-if payload for delta'd configurations: per
@@ -313,31 +318,6 @@ impl RegistryEngine {
         Ok(o)
     }
 
-    /// Whether every simulation a what-if answer for `req` reads is
-    /// already in the lab: the suite at the baseline and at each delta'd
-    /// config, plus the fitted model when the artifact's plan needs it
-    /// (mirroring what [`RegistryEngine::evaluate`] primes). Plain
-    /// queries are never warm: an artifact's evaluation may do work its
-    /// plan does not declare (its own simulations, silicon replays).
-    fn is_warm(&self, req: &QueryRequest) -> bool {
-        if req.sets.is_empty() {
-            return false;
-        }
-        let Ok(artifact) = self.artifact(&req.artifact) else {
-            return false;
-        };
-        if artifact.plan().needs_fit && !validation::fit_is_cached(self.scale) {
-            return false;
-        }
-        let Ok(configs) = delta_configs(artifact, &req.sets) else {
-            return false;
-        };
-        let baseline = ExpConfig::baseline();
-        self.suite.iter().all(|w| {
-            self.lab.is_cached(w, &baseline) && configs.iter().all(|c| self.lab.is_cached(w, c))
-        })
-    }
-
     /// Evaluates one request against the (already primed) lab.
     fn evaluate_one(&self, req: &QueryRequest) -> Result<String, String> {
         let artifact = self.artifact(&req.artifact)?;
@@ -348,8 +328,8 @@ impl RegistryEngine {
                     .map(|data| data.json)
                     .map_err(|e| e.to_string())
             } else {
-                let configs = delta_configs(artifact, &req.sets)?;
-                self.whatif_payload(artifact, &req.sets, &configs)
+                let plan = self.request_plan(req)?;
+                self.whatif_payload(artifact, &req.sets, &plan.distinct_configs())
             }
         }));
         match outcome {
@@ -368,9 +348,7 @@ impl xpd::QueryEngine for RegistryEngine {
         let artifact = self.artifact(&req.artifact)?;
         // Validate deltas at digest time so a bad `--set` fails fast,
         // before anything is enqueued.
-        if !req.sets.is_empty() {
-            delta_configs(artifact, &req.sets)?;
-        }
+        self.request_plan(req)?;
         Ok(query_digest(
             artifact.id(),
             &req.sets,
@@ -382,49 +360,31 @@ impl xpd::QueryEngine for RegistryEngine {
 
     fn evaluate(&self, reqs: &[QueryRequest]) -> Vec<Result<String, String>> {
         let _span = trace::span("xp.query.batch");
-        // Union every request's sweep into one executor prime — the
-        // batching win: shared points across queries simulate once.
-        let mut needs_fit = false;
-        let mut configs: Vec<ExpConfig> = Vec::new();
-        let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for req in reqs {
-            let Ok(artifact) = self.artifact(&req.artifact) else {
-                continue; // surfaced per-request by evaluate_one
-            };
-            let plan = artifact.plan();
-            needs_fit |= plan.needs_fit;
-            let planned = if req.sets.is_empty() {
-                plan.configs
-            } else {
-                delta_configs(artifact, &req.sets).unwrap_or_default()
-            };
-            for cfg in planned {
-                if seen.insert(format!("{cfg:?}")) {
-                    configs.push(cfg);
-                }
-            }
+        // Merge every request's plan into one prime — the batching win:
+        // shared points across queries simulate once. A request whose
+        // plan fails reports that error from `evaluate_one`.
+        let mut plan = SweepPlan::none();
+        for p in reqs.iter().filter_map(|req| self.request_plan(req).ok()) {
+            plan.merge(p);
         }
-        if needs_fit {
-            let _ = validation::fit_model_cached(self.scale);
-        }
-        if !configs.is_empty() {
-            let mut points = Vec::with_capacity(self.suite.len() * (configs.len() + 1));
-            for w in &self.suite {
-                points.push((w.clone(), ExpConfig::baseline()));
-                for cfg in &configs {
-                    points.push((w.clone(), cfg.clone()));
-                }
-            }
-            let _ = self.lab.prime(&points);
-        }
+        let _ = self.lab.prime_plan(&self.suite, &plan);
         reqs.iter().map(|req| self.evaluate_one(req)).collect()
     }
 
-    /// Warm for a what-if query whose every simulation (and fit, when
-    /// the plan needs one) is already cached; the lab cache only grows,
-    /// so the evaluation that follows is pure energy arithmetic.
+    /// Warm for a what-if query whose plan is already cached — the same
+    /// points (and fit) a batch prime of it would fill; the lab cache
+    /// only grows, so the evaluation that follows is pure energy
+    /// arithmetic. Plain queries are never warm: an artifact's evaluation
+    /// may do work its plan does not declare (its own simulations,
+    /// silicon replays), so the plan cannot vouch for it.
     fn evaluate_warm(&self, req: &QueryRequest) -> Option<Result<String, String>> {
-        self.is_warm(req).then(|| self.evaluate_one(req))
+        if req.sets.is_empty() {
+            return None;
+        }
+        let plan = self.request_plan(req).ok()?;
+        self.lab
+            .plan_is_cached(&self.suite, &plan)
+            .then(|| self.evaluate_one(req))
     }
 
     fn describe(&self) -> Json {
@@ -532,12 +492,13 @@ mod tests {
 
     #[test]
     fn artifact_file_bytes_match_the_run_driver() {
-        // `xp run --out` writes format!("{}\n", json.render_pretty());
-        // the daemon payload must be those exact bytes.
+        // The file format both `xp run --out` and the daemon use: the
+        // pretty rendering (which ends in a newline) plus one more.
         let mut j = Json::object();
         j.insert("id", "fig2");
-        assert_eq!(artifact_file_bytes(&j), format!("{}\n", j.render_pretty()));
-        assert!(artifact_file_bytes(&j).ends_with("}\n\n"));
+        let bytes = artifact_file_bytes(&j);
+        assert!(bytes.ends_with("}\n\n"));
+        assert_eq!(Json::parse(&bytes).unwrap(), j);
     }
 
     #[test]

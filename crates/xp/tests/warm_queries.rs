@@ -72,6 +72,33 @@ fn energy_only_deltas_are_warm_byte_identical_and_never_simulate() {
 }
 
 #[test]
+fn every_sweeping_artifact_is_warm_after_its_own_batch_prime() {
+    // The warm probe and the batch prime walk the same plan points, so
+    // whatever the batch path just evaluated must read as warm.
+    let engine = RegistryEngine::new(Scale::Smoke, 1, false);
+    let registry = ArtifactRegistry::standard(&RegistryOptions { validation: false });
+    let mut checked = 0;
+    for artifact in registry.iter().filter(|a| !a.plan().configs.is_empty()) {
+        let id = artifact.id();
+        let req = whatif(id, &[("gpms", "2"), ("link_energy_mult", "2")]);
+        let batch = engine.evaluate(std::slice::from_ref(&req)).remove(0);
+        assert!(batch.is_ok(), "{id}: {batch:?}");
+        let primed = engine.lab().cached_runs();
+        let warm = engine
+            .evaluate_warm(&req)
+            .unwrap_or_else(|| panic!("{id}: not warm right after its batch prime"));
+        assert_eq!(warm, batch, "{id}: warm bytes differ from the batch path");
+        assert_eq!(
+            engine.lab().cached_runs(),
+            primed,
+            "{id}: the warm path must not simulate"
+        );
+        checked += 1;
+    }
+    assert!(checked >= 10, "only {checked} artifacts sweep");
+}
+
+#[test]
 fn a_fit_artifact_is_not_warm_until_the_fit_exists() {
     // The only test in this binary that fits, so the process-wide fit
     // cache is empty until this test fills it.
