@@ -5,7 +5,7 @@ use common::units::{Power, Time};
 use common::{CtaId, GpmId, WarpId};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gpujoule::EnergyModel;
-use isa::{EventCounts, Opcode, Transaction};
+use isa::{EventCounts, Opcode, Transaction, WarpInstr, PREDECODE_WINDOW};
 use sim::bw::BwResource;
 use sim::cache::Cache;
 use sim::{BwSetting, GpuConfig, GpuSim, Topology};
@@ -54,6 +54,30 @@ fn bench_components(c: &mut Criterion) {
             let n = program
                 .warp_instructions(CtaId::new(cta), WarpId::new(0))
                 .count();
+            black_box(n)
+        })
+    });
+
+    // The engine decodes through `fill` (one virtual call per window);
+    // `warp_stream_generation` above drains through `.count()`, the
+    // per-instruction path.
+    group.bench_function("warp_stream_fill", |b| {
+        let w = by_name("Stream").unwrap();
+        let launches = w.launches(Scale::Smoke);
+        let program = &launches[0].program;
+        let mut window = [WarpInstr::Compute(Opcode::FAdd32); PREDECODE_WINDOW];
+        let mut cta = 0u32;
+        b.iter(|| {
+            cta = (cta + 1) % program.grid().ctas;
+            let mut stream = program.warp_instructions(CtaId::new(cta), WarpId::new(0));
+            let mut n = 0;
+            loop {
+                let got = stream.fill(&mut window);
+                n += got;
+                if got < window.len() {
+                    break;
+                }
+            }
             black_box(n)
         })
     });

@@ -31,7 +31,7 @@ impl KernelProgram for Stream {
     fn warp_instructions(&self, cta: CtaId, warp: WarpId) -> WarpInstrStream {
         let stride = self.lines_per_warp as u64 * 128;
         let base = (cta.0 as u64 * self.warps as u64 + warp.0 as u64) * stride;
-        Box::new(
+        isa::iter_stream(
             (0..self.lines_per_warp as u64)
                 .map(move |i| WarpInstr::Mem(MemRef::global_load(base + i * 128))),
         )

@@ -24,8 +24,8 @@ pub mod transaction;
 pub use counts::{EventCounts, OpcodeCounts, TxnCounts};
 pub use opcode::{OpClass, Opcode};
 pub use program::{
-    disassemble, GridShape, KernelProgram, LaunchSpec, MemRef, MemSpace, PredecodedStream,
-    WarpInstr, WarpInstrStream, PREDECODE_WINDOW,
+    disassemble, iter_stream, GridShape, KernelProgram, LaunchSpec, MemRef, MemSpace,
+    PredecodedStream, WarpInstr, WarpInstrStream, WarpStream, PREDECODE_WINDOW,
 };
 pub use transaction::Transaction;
 

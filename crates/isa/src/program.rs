@@ -95,32 +95,98 @@ impl fmt::Display for WarpInstr {
     }
 }
 
-/// A boxed per-warp instruction stream.
+/// A per-warp instruction stream that can decode in bulk.
+///
+/// Every stream is an ordinary [`Iterator`] (so `count`, `collect` and
+/// `for` loops work unchanged); [`fill`](WarpStream::fill) additionally
+/// decodes a whole window per call. Engines hold streams as boxed trait
+/// objects, so `fill` costs one virtual call per window where pulling
+/// through `next` costs one per instruction — and inside `fill` the
+/// concrete stream's `next` is a static call the compiler can inline.
 ///
 /// `Sync` is required (not just `Send`) because engines park partially
 /// decoded streams in reusable scratch state that is reachable through
 /// `&GpuSim`; in practice streams are pure `map`/`range` iterators over
 /// `Copy` captures, which are automatically both.
-pub type WarpInstrStream = Box<dyn Iterator<Item = WarpInstr> + Send + Sync>;
+pub trait WarpStream: Iterator<Item = WarpInstr> + Send + Sync {
+    /// Decodes the next instructions into `out`, returning how many were
+    /// written. Returns fewer than `out.len()` only once the stream is
+    /// exhausted, and always yields exactly the sequence `next` would.
+    fn fill(&mut self, out: &mut [WarpInstr]) -> usize {
+        for (n, slot) in out.iter_mut().enumerate() {
+            match self.next() {
+                Some(instr) => *slot = instr,
+                None => return n,
+            }
+        }
+        out.len()
+    }
+}
+
+/// A boxed per-warp instruction stream.
+pub type WarpInstrStream = Box<dyn WarpStream>;
+
+/// Adapter giving an iterator-built program the provided
+/// [`WarpStream::fill`].
+struct IterStream<I>(I);
+
+impl<I: Iterator<Item = WarpInstr>> Iterator for IterStream<I> {
+    type Item = WarpInstr;
+
+    #[inline]
+    fn next(&mut self) -> Option<WarpInstr> {
+        self.0.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl<I: Iterator<Item = WarpInstr> + Send + Sync> WarpStream for IterStream<I> {}
+
+/// Boxes any instruction iterator as a [`WarpInstrStream`] — the way
+/// kernels built from `map`/`range`/`chain` combinators return their
+/// per-warp streams.
+///
+/// # Examples
+///
+/// ```
+/// use isa::{iter_stream, Opcode, WarpInstr, WarpStream};
+///
+/// let mut s = iter_stream((0..3).map(|_| WarpInstr::Compute(Opcode::FFma32)));
+/// let mut buf = [WarpInstr::Compute(Opcode::FAdd32); 2];
+/// assert_eq!(s.fill(&mut buf), 2);
+/// assert_eq!(s.fill(&mut buf), 1);
+/// assert_eq!(s.fill(&mut buf), 0);
+/// ```
+pub fn iter_stream<I>(iter: I) -> WarpInstrStream
+where
+    I: IntoIterator<Item = WarpInstr>,
+    I::IntoIter: Send + Sync + 'static,
+{
+    Box::new(IterStream(iter.into_iter()))
+}
 
 /// Instructions decoded per [`PredecodedStream`] refill window.
 ///
-/// Large enough that the boxed iterator's virtual `next()` is amortized
-/// to noise in the issue loop, small enough that a 32-GPM machine full
-/// of resident warps still runs in constant memory (the property the
-/// procedural-stream design exists for).
+/// Large enough that the one virtual [`WarpStream::fill`] call per
+/// window is noise in the issue loop, small enough that a 32-GPM
+/// machine full of resident warps still runs in constant memory (the
+/// property the procedural-stream design exists for).
 pub const PREDECODE_WINDOW: usize = 64;
 
 /// A pre-decoded, flat view of one warp's [`WarpInstrStream`].
 ///
 /// The cycle engine's issue loop reads the *current* instruction of
 /// every resident warp on every visited cycle. Pulling that instruction
-/// through `Box<dyn Iterator>::next()` and caching it in an
+/// through the boxed stream's `next()` and caching it in an
 /// `Option<WarpInstr>` costs a virtual call per instruction and a
 /// 24-byte enum copy per peek. `PredecodedStream` instead decodes the
 /// stream into a flat `Vec<WarpInstr>` window indexed by a program
-/// counter: peeking is an array load, and the iterator is only touched
-/// once per [`PREDECODE_WINDOW`] instructions when the window refills.
+/// counter: peeking is an array load, and the stream is touched once
+/// per [`PREDECODE_WINDOW`] instructions, when one
+/// [`fill`](WarpStream::fill) call decodes the next window.
 ///
 /// The buffer is reusable: engines keep one `PredecodedStream` per warp
 /// slot and [`reset`](PredecodedStream::reset) it when a new warp lands
@@ -194,7 +260,7 @@ impl PredecodedStream {
     }
 
     /// Advances the program counter past the current instruction,
-    /// refilling the decode window from the underlying iterator when it
+    /// refilling the decode window from the underlying stream when it
     /// runs dry.
     #[inline]
     pub fn advance(&mut self) {
@@ -205,18 +271,18 @@ impl PredecodedStream {
     }
 
     fn refill(&mut self) {
-        self.window.clear();
         self.pos = 0;
-        if let Some(stream) = &mut self.stream {
-            for _ in 0..PREDECODE_WINDOW {
-                match stream.next() {
-                    Some(instr) => self.window.push(instr),
-                    None => {
-                        self.stream = None;
-                        break;
-                    }
-                }
-            }
+        let Some(stream) = &mut self.stream else {
+            self.window.clear();
+            return;
+        };
+        // Overwritten by `fill` before any read; only the length matters.
+        self.window
+            .resize(PREDECODE_WINDOW, WarpInstr::Compute(crate::Opcode::FAdd32));
+        let n = stream.fill(&mut self.window);
+        self.window.truncate(n);
+        if n < PREDECODE_WINDOW {
+            self.stream = None;
         }
     }
 }
@@ -342,7 +408,7 @@ pub trait KernelProgram: Send + Sync {
 /// #     fn name(&self) -> &str { "k" }
 /// #     fn grid(&self) -> GridShape { GridShape::new(1, 1) }
 /// #     fn warp_instructions(&self, _: CtaId, _: WarpId) -> WarpInstrStream {
-/// #         Box::new([WarpInstr::Compute(Opcode::FFma32)].into_iter())
+/// #         isa::iter_stream([WarpInstr::Compute(Opcode::FFma32)])
 /// #     }
 /// # }
 /// let listing = isa::disassemble(&K, CtaId::new(0), WarpId::new(0), 10);
@@ -429,14 +495,11 @@ mod tests {
         }
         fn warp_instructions(&self, cta: CtaId, warp: WarpId) -> WarpInstrStream {
             let base = (cta.0 as u64 * 4 + warp.0 as u64) * 128;
-            Box::new(
-                vec![
-                    WarpInstr::Mem(MemRef::global_load(base)),
-                    WarpInstr::Compute(Opcode::FFma32),
-                    WarpInstr::Mem(MemRef::global_store(base)),
-                ]
-                .into_iter(),
-            )
+            iter_stream(vec![
+                WarpInstr::Mem(MemRef::global_load(base)),
+                WarpInstr::Compute(Opcode::FFma32),
+                WarpInstr::Mem(MemRef::global_store(base)),
+            ])
         }
     }
 
@@ -459,7 +522,7 @@ mod tests {
     }
 
     fn compute_stream(len: usize) -> WarpInstrStream {
-        Box::new((0..len).map(|_| WarpInstr::Compute(Opcode::FFma32)))
+        iter_stream((0..len).map(|_| WarpInstr::Compute(Opcode::FFma32)))
     }
 
     #[test]

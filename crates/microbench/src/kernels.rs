@@ -111,7 +111,7 @@ impl KernelProgram for ComputeUbench {
 
     fn warp_instructions(&self, _cta: CtaId, _warp: WarpId) -> WarpInstrStream {
         let op = self.op;
-        Box::new((0..self.iterations).map(move |_| WarpInstr::Compute(op)))
+        isa::iter_stream((0..self.iterations).map(move |_| WarpInstr::Compute(op)))
     }
 }
 
@@ -195,7 +195,7 @@ impl KernelProgram for MemoryUbench {
         let passes = self.passes as u64;
         let slice = self.region + warp_global * lines * 128;
         let dram_stride = lines * 128;
-        Box::new((0..lines * passes).map(move |i| match level {
+        isa::iter_stream((0..lines * passes).map(move |i| match level {
             MemLevel::Shared => {
                 WarpInstr::Mem(MemRef::shared((i % lines) * 128 % (48 * 1024), false))
             }
@@ -274,14 +274,14 @@ impl KernelProgram for MixedUbench {
         let k = self.compute_per_mem as usize;
         let mem_stream = self.mem.warp_instructions(cta, warp);
         match &self.extra_dram {
-            None => Box::new(mem_stream.flat_map(move |m| {
+            None => isa::iter_stream(mem_stream.flat_map(move |m| {
                 std::iter::repeat_n(WarpInstr::Compute(op), k).chain(std::iter::once(m))
             })),
             Some(extra) => {
                 let dram_stream = extra.warp_instructions(cta, warp);
                 // Interleave: compute burst, L2 ref, compute burst, DRAM ref.
                 let zipped = mem_stream.zip(dram_stream);
-                Box::new(zipped.flat_map(move |(a, b)| {
+                isa::iter_stream(zipped.flat_map(move |(a, b)| {
                     std::iter::repeat_n(WarpInstr::Compute(op), k)
                         .chain(std::iter::once(a))
                         .chain(std::iter::repeat_n(WarpInstr::Compute(op), k))

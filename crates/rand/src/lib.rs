@@ -77,10 +77,14 @@ macro_rules! impl_sample_uniform {
         impl SampleUniform for $t {
             fn sample_range<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self {
                 assert!(lo < hi, "gen_range requires a non-empty range");
-                let span = (hi as i128 - lo as i128) as u128;
+                // Every implementing type is at most 64 bits wide, so the
+                // span is below 2^64 and the modulo runs in u64 — the
+                // same value as the u128 formula, without the 128-bit
+                // division a `u128 %` compiles to.
+                let span = (hi as i128 - lo as i128) as u64;
                 // Modulo draw: the bias over u64 output is < 2^-63 for the
                 // span sizes this workspace uses (all far below 2^32).
-                let v = (rng.next_u64() as u128) % span;
+                let v = rng.next_u64() % span;
                 (lo as i128 + v as i128) as $t
             }
         }
@@ -206,6 +210,37 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+    }
+
+    #[test]
+    fn gen_range_matches_the_u128_modulo_formula() {
+        // The draw `gen_range` made before its u64 fast path, kept as the
+        // reference: a u128 modulo over the widened span.
+        fn reference(rng: &mut SmallRng, lo: i128, hi: i128) -> i128 {
+            let span = (hi - lo) as u128;
+            lo + ((rng.next_u64() as u128) % span) as i128
+        }
+        for span in [1u64, 3, (1 << 32) + 1, (1 << 63) + 1, u64::MAX] {
+            let mut fast = SmallRng::seed_from_u64(span);
+            let mut slow = fast.clone();
+            for _ in 0..1_000 {
+                let got = fast.gen_range(0..span);
+                assert_eq!(
+                    got as i128,
+                    reference(&mut slow, 0, span as i128),
+                    "span {span}"
+                );
+            }
+        }
+        // Signed ranges straddling zero, up to the widest i64 span.
+        for (lo, hi) in [(-3i64, 4i64), (i64::MIN, i64::MAX), (i64::MIN, 0)] {
+            let mut fast = SmallRng::seed_from_u64(7);
+            let mut slow = fast.clone();
+            for _ in 0..1_000 {
+                let got = fast.gen_range(lo..hi);
+                assert_eq!(got as i128, reference(&mut slow, lo as i128, hi as i128));
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ impl KernelProgram for ComputeBound {
         GridShape::new(self.ctas, self.warps)
     }
     fn warp_instructions(&self, _cta: CtaId, _warp: WarpId) -> WarpInstrStream {
-        Box::new((0..self.len).map(|_| WarpInstr::Compute(Opcode::FFma32)))
+        isa::iter_stream((0..self.len).map(|_| WarpInstr::Compute(Opcode::FFma32)))
     }
     fn uniform_warp_program(&self) -> Option<Vec<WarpInstr>> {
         Some(vec![WarpInstr::Compute(Opcode::FFma32); self.len as usize])

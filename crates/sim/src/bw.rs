@@ -7,6 +7,18 @@
 //! queued behind the backlog — this reproduces bandwidth saturation and
 //! queueing delay without simulating individual buffer slots.
 
+/// `t.ceil() as u64` for a finite, non-negative virtual time, without
+/// the libm `ceil` call the float form compiles to on baseline x86-64.
+/// `t as u64` truncates, which is the floor for `t >= 0`; the floor
+/// converts back to `f64` exactly (below 2^53 every integer is
+/// representable, above it `t` is already an integer), so the compare
+/// tells exactly whether `t` had a fractional part.
+#[inline]
+fn ceil_cycle(t: f64) -> u64 {
+    let floor = t as u64;
+    floor + u64::from((floor as f64) < t)
+}
+
 /// A bandwidth-limited, work-conserving FIFO resource.
 ///
 /// # Examples
@@ -69,12 +81,12 @@ impl BwResource {
         let service = bytes as f64 / self.bytes_per_cycle;
         self.virtual_time = start + service;
         self.busy_byte_cycles += bytes as f64;
-        self.virtual_time.ceil() as u64
+        ceil_cycle(self.virtual_time)
     }
 
     /// The cycle at which the current backlog drains.
     pub fn backlog_until(&self) -> u64 {
-        self.virtual_time.ceil() as u64
+        ceil_cycle(self.virtual_time)
     }
 
     /// Total bytes served so far.
@@ -140,6 +152,31 @@ mod tests {
         assert_eq!(t3, 1);
         let t4 = r.acquire(1, 0);
         assert_eq!(t4, 2);
+    }
+
+    #[test]
+    fn integer_ceil_matches_float_ceil() {
+        // Ring links at half the per-GPM bandwidth serve fractional
+        // bytes per cycle, so virtual times land on every kind of
+        // fraction; whole and huge values pin the edges.
+        for rate in [256.0, 128.0, 96.0, 85.333_333_333_333_33, 42.5, 3.0, 0.7] {
+            let mut r = BwResource::new(rate);
+            for i in 0..5_000u64 {
+                let done = r.acquire(32 + (i * 37) % 160, i * 3);
+                assert_eq!(done, r.virtual_time.ceil() as u64, "rate {rate}");
+            }
+        }
+        for t in [
+            0.0,
+            0.25,
+            1.0,
+            1.5,
+            4503599627370495.5,
+            9007199254740992.0,
+            1e19,
+        ] {
+            assert_eq!(ceil_cycle(t), t.ceil() as u64, "t {t}");
+        }
     }
 
     #[test]

@@ -57,6 +57,11 @@ pub struct Cache {
     /// Last-touch tick per way.
     lru: Vec<u64>,
     num_sets: usize,
+    /// `num_sets - 1` when the set count is a power of two (set index
+    /// by mask), `None` otherwise (set index by modulo).
+    set_mask: Option<u64>,
+    /// log2(`line_bytes`): line number = address >> `line_shift`.
+    line_shift: u32,
     assoc: usize,
     line_bytes: u64,
     tick: u64,
@@ -93,6 +98,10 @@ impl Cache {
             tags: vec![0; ways],
             lru: vec![0; ways],
             num_sets,
+            set_mask: (num_sets as u64)
+                .is_power_of_two()
+                .then_some(num_sets as u64 - 1),
+            line_shift: line_bytes.trailing_zeros(),
             assoc,
             line_bytes,
             tick: 0,
@@ -106,11 +115,18 @@ impl Cache {
         self.line_bytes
     }
 
+    /// Set index of a line: line number modulo the set count. Line size
+    /// is a power of two, so the line number is a shift; so is the set
+    /// count in most geometries, which makes the modulo a mask — no
+    /// division on the probe path.
     #[inline]
     fn set_of(&self, line_addr: u64) -> usize {
-        // Simple modulo indexing over line number; line_addr is already a
-        // line-aligned byte address.
-        ((line_addr / self.line_bytes) % self.num_sets as u64) as usize
+        let line = line_addr >> self.line_shift;
+        let set = match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.num_sets as u64,
+        };
+        set as usize
     }
 
     /// The stored line-aligned address of a tag word.
@@ -360,6 +376,24 @@ mod tests {
             _ => panic!("expected miss"),
         }
         assert_eq!(c.flush_all(), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn set_index_matches_division_for_both_set_counts() {
+        // 32 KiB / 4-way / 128 B = 64 sets (mask path); the Pascal-class
+        // 24 KiB / 4-way L1 has 48 sets (modulo path).
+        for (capacity, sets) in [(32 * 1024, 64u64), (24 * 1024, 48)] {
+            let c = Cache::new(capacity, 4, 128);
+            assert_eq!(c.num_sets as u64, sets);
+            assert_eq!(c.set_mask.is_some(), sets.is_power_of_two());
+            let mut addr = 0x1234_5678_u64;
+            for i in 0..10_000u64 {
+                addr = addr.wrapping_mul(6364136223846793005).wrapping_add(i);
+                let line_addr = addr & !127;
+                assert_eq!(c.set_of(line_addr) as u64, (line_addr / 128) % sets);
+            }
+            assert_eq!(c.set_of(!127) as u64, (u64::MAX / 128) % sets);
+        }
     }
 
     #[test]

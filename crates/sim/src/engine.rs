@@ -930,7 +930,7 @@ pub(crate) struct SmStep {
 ///     fn grid(&self) -> GridShape { GridShape::new(8, 2) }
 ///     fn warp_instructions(&self, cta: CtaId, warp: WarpId) -> WarpInstrStream {
 ///         let base = (cta.0 as u64 * 2 + warp.0 as u64) * 256;
-///         Box::new([
+///         isa::iter_stream([
 ///             WarpInstr::Mem(MemRef::global_load(base)),
 ///             WarpInstr::Compute(Opcode::FFma32),
 ///             WarpInstr::Mem(MemRef::global_store(base + 128)),
@@ -1820,7 +1820,7 @@ mod tests {
             GridShape::new(self.ctas, self.warps)
         }
         fn warp_instructions(&self, _cta: CtaId, _warp: WarpId) -> WarpInstrStream {
-            Box::new((0..self.len).map(|_| WarpInstr::Compute(Opcode::FFma32)))
+            isa::iter_stream((0..self.len).map(|_| WarpInstr::Compute(Opcode::FFma32)))
         }
     }
 
@@ -1842,7 +1842,7 @@ mod tests {
             let wpc = self.warps as u64;
             let stride = self.lines_per_warp as u64 * 128;
             let base = (cta.0 as u64 * wpc + warp.0 as u64) * stride;
-            Box::new(
+            isa::iter_stream(
                 (0..self.lines_per_warp as u64)
                     .map(move |i| WarpInstr::Mem(MemRef::global_load(base + i * 128))),
             )
@@ -1963,7 +1963,7 @@ mod tests {
                 // (so the region is homed by whoever touches it first) —
                 // lines spread over a few pages.
                 let idx = (cta.0 as u64 * 2 + warp.0 as u64) * 8;
-                Box::new((0..8u64).map(move |i| {
+                isa::iter_stream((0..8u64).map(move |i| {
                     WarpInstr::Mem(MemRef::global_load(0x100_0000 + ((idx + i) % 1024) * 128))
                 }))
             }
@@ -2013,7 +2013,7 @@ mod tests {
             }
             fn warp_instructions(&self, cta: CtaId, warp: WarpId) -> WarpInstrStream {
                 let base = (cta.0 as u64 * 2 + warp.0 as u64) * 4096;
-                Box::new(
+                isa::iter_stream(
                     (0..16u64).map(move |i| WarpInstr::Mem(MemRef::global_store(base + i * 128))),
                 )
             }
@@ -2126,7 +2126,7 @@ mod tests {
                 // and lands in an L2: the *local* one under module-side
                 // caching, the *home* one (across the NoC) under
                 // memory-side.
-                Box::new(
+                isa::iter_stream(
                     (0..256u64).map(move |i| {
                         WarpInstr::Mem(MemRef::global_load(((i + w * 7) % 128) * 128))
                     }),
@@ -2162,7 +2162,7 @@ mod tests {
             }
             fn warp_instructions(&self, _cta: CtaId, warp: WarpId) -> WarpInstrStream {
                 let base = warp.0 as u64 * 512 * 128;
-                Box::new(
+                isa::iter_stream(
                     (0..512u64).map(move |i| WarpInstr::Mem(MemRef::global_load(base + i * 128))),
                 )
             }
@@ -2177,7 +2177,7 @@ mod tests {
             }
             fn warp_instructions(&self, cta: CtaId, warp: WarpId) -> WarpInstrStream {
                 let seed = cta.0 as u64 * 4 + warp.0 as u64;
-                Box::new((0..64u64).map(move |i| {
+                isa::iter_stream((0..64u64).map(move |i| {
                     let line = (seed * 97 + i * 131) % 4096;
                     WarpInstr::Mem(MemRef::global_load(line * 128))
                 }))
@@ -2295,7 +2295,7 @@ mod tests {
                 GridShape::new(3, 2)
             }
             fn warp_instructions(&self, _cta: CtaId, _warp: WarpId) -> WarpInstrStream {
-                Box::new(std::iter::empty())
+                isa::iter_stream(std::iter::empty())
             }
         }
         let cfg = GpuConfig::tiny(4);
@@ -2452,7 +2452,7 @@ mod tests {
                 GridShape::new(3, 2)
             }
             fn warp_instructions(&self, _cta: CtaId, _warp: WarpId) -> WarpInstrStream {
-                Box::new(std::iter::empty())
+                isa::iter_stream(std::iter::empty())
             }
         }
         assert_parallel_matches(&GpuConfig::tiny(4), 4, &EmptyKernel);

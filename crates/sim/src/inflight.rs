@@ -8,8 +8,8 @@
 //! long since landed — grew monotonically between kernel boundaries.
 //!
 //! [`InflightTable`] replaces it with a slab of parallel columns
-//! indexed by small slot ids, a FNV-1a open-addressing index over line
-//! addresses, and a *sorted wheel* (a min-heap keyed on ready cycle)
+//! indexed by small slot ids, an xorshift-multiply open-addressing index
+//! over line addresses, and a *sorted wheel* (a min-heap keyed on ready cycle)
 //! that retires expired entries in O(log n) as simulated time advances.
 //!
 //! # Expiry is behavior-identical
@@ -68,18 +68,15 @@ pub struct InflightTable {
     wheel: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
-/// FNV-1a over the 8 little-endian bytes of a line address. Line
-/// addresses are 128-byte aligned, so the low 7 bits carry no entropy;
-/// FNV mixes every input byte into every output bit, which is enough
-/// for a power-of-two table.
+/// One xorshift-multiply over a line address: the shift folds the high
+/// half onto the low half, and the product's upper 32 bits (the result)
+/// each depend on every bit of that folded word — so the low bits a
+/// power-of-two table masks with see the whole address, although line
+/// addresses are 128-byte aligned. Bucket placement is unobservable:
+/// lookups compare the stored line, so any hash gives the same answers.
 #[inline]
 fn hash_line(line: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in line.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
+    (line ^ (line >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
 }
 
 impl InflightTable {

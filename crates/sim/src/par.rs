@@ -440,7 +440,7 @@ mod tests {
         }
         fn warp_instructions(&self, cta: CtaId, warp: WarpId) -> WarpInstrStream {
             let base = (cta.0 as u64 * 4 + warp.0 as u64) * 4096;
-            Box::new((0..24u64).flat_map(move |i| {
+            isa::iter_stream((0..24u64).flat_map(move |i| {
                 [
                     WarpInstr::Mem(MemRef::global_load(base + i * 128)),
                     WarpInstr::Compute(isa::Opcode::FFma32),

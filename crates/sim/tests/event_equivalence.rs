@@ -41,7 +41,7 @@ impl KernelProgram for FuzzKernel {
         let private = (u64::from(cta.0) * u64::from(self.warps_per_cta) + u64::from(warp.0))
             * u64::from(self.max_instrs)
             * 128;
-        Box::new((0..len).map(move |i| {
+        isa::iter_stream((0..len).map(move |i| {
             let r = mix(base.wrapping_add(u64::from(i)));
             match r % 5 {
                 0 => WarpInstr::Compute(Opcode::FFma32),
@@ -92,7 +92,7 @@ impl KernelProgram for UniformKernel {
     }
     fn warp_instructions(&self, _cta: CtaId, _warp: WarpId) -> WarpInstrStream {
         let k = self.clone();
-        Box::new((0..k.len).map(move |i| k.instr(i)))
+        isa::iter_stream((0..k.len).map(move |i| k.instr(i)))
     }
     fn uniform_warp_program(&self) -> Option<Vec<WarpInstr>> {
         self.hint

@@ -9,7 +9,7 @@
 
 use crate::mix::InstMix;
 use common::{CtaId, WarpId};
-use isa::{GridShape, KernelProgram, MemRef, WarpInstr, WarpInstrStream};
+use isa::{GridShape, KernelProgram, MemRef, WarpInstr, WarpInstrStream, WarpStream};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -191,7 +191,7 @@ impl KernelProgram for SurrogateKernel {
     }
 
     fn warp_instructions(&self, cta: CtaId, warp: WarpId) -> WarpInstrStream {
-        let p = Arc::clone(&self.params);
+        let p = &self.params;
         let warp_global = cta.0 as u64 * p.warps_per_cta as u64 + warp.0 as u64;
         let seed = p
             .seed
@@ -201,7 +201,9 @@ impl KernelProgram for SurrogateKernel {
             rng: SmallRng::seed_from_u64(seed),
             warp_global,
             total_warps: p.total_warps(),
-            p,
+            group_len: p.compute_per_mem + p.shared_per_mem + 1,
+            slice: p.slice_lines(),
+            p: Arc::clone(p),
             mem_done: 0,
             group_pos: 0,
             trailing_done: 0,
@@ -226,6 +228,10 @@ struct SurrogateStream {
     rng: SmallRng,
     warp_global: u64,
     total_warps: u64,
+    /// Instructions per compute/shared/mem group.
+    group_len: u32,
+    /// Lines in the warp's private slice (streaming patterns).
+    slice: u64,
     /// Memory references emitted so far.
     mem_done: u32,
     /// Position inside the current compute/shared/mem group.
@@ -247,7 +253,7 @@ impl SurrogateStream {
         let p = &self.p;
         match p.pattern {
             AccessPattern::PrivateStream { misalign, .. } => {
-                let slice = p.slice_lines();
+                let slice = self.slice;
                 let offset = self.cursor % slice;
                 self.cursor += 1;
                 let owner = if misalign > 0.0 && self.rng.gen::<f64>() < misalign {
@@ -268,7 +274,7 @@ impl SurrogateStream {
                 p.region + (owner * slice + offset) * LINE
             }
             AccessPattern::Stencil { halo, .. } => {
-                let slice = p.slice_lines();
+                let slice = self.slice;
                 let offset = self.cursor % slice;
                 self.cursor += 1;
                 let owner = if halo > 0.0 && self.rng.gen::<f64>() < halo {
@@ -313,36 +319,44 @@ impl SurrogateStream {
 impl Iterator for SurrogateStream {
     type Item = WarpInstr;
 
+    /// One generation step; forced inline so the provided
+    /// [`WarpStream::fill`] loop, monomorphized for this stream, pays no
+    /// call per instruction.
+    #[inline(always)]
     fn next(&mut self) -> Option<WarpInstr> {
-        let p = Arc::clone(&self.p);
-        if self.mem_done < p.mem_refs_per_warp {
-            let group_len = p.compute_per_mem + p.shared_per_mem + 1;
+        if self.mem_done < self.p.mem_refs_per_warp {
             let pos = self.group_pos;
-            self.group_pos = (self.group_pos + 1) % group_len;
-            if pos < p.compute_per_mem {
-                return Some(WarpInstr::Compute(p.mix.sample(&mut self.rng)));
+            self.group_pos += 1;
+            if self.group_pos == self.group_len {
+                self.group_pos = 0;
             }
-            if pos < p.compute_per_mem + p.shared_per_mem {
+            let compute = self.p.compute_per_mem;
+            if pos < compute {
+                return Some(WarpInstr::Compute(self.p.mix.sample(&mut self.rng)));
+            }
+            if pos < compute + self.p.shared_per_mem {
                 let addr = (self.cursor * 4 + pos as u64 * 128) % (48 * 1024);
                 return Some(WarpInstr::Mem(MemRef::shared(addr, false)));
             }
             // The memory reference that closes the group.
             self.mem_done += 1;
             let addr = self.next_line();
-            let is_store = self.rng.gen::<f64>() < p.store_fraction;
+            let is_store = self.rng.gen::<f64>() < self.p.store_fraction;
             return Some(WarpInstr::Mem(MemRef {
                 space: isa::MemSpace::Global,
                 addr,
                 is_store,
             }));
         }
-        if self.trailing_done < p.trailing_compute {
+        if self.trailing_done < self.p.trailing_compute {
             self.trailing_done += 1;
-            return Some(WarpInstr::Compute(p.mix.sample(&mut self.rng)));
+            return Some(WarpInstr::Compute(self.p.mix.sample(&mut self.rng)));
         }
         None
     }
 }
+
+impl WarpStream for SurrogateStream {}
 
 #[cfg(test)]
 mod tests {

@@ -64,15 +64,23 @@ impl InstMix {
             .unwrap_or(0.0)
     }
 
-    /// Samples one opcode.
+    /// Samples one opcode: the first entry whose cumulative weight is at
+    /// least a uniform draw from `[0, 1)`.
+    #[inline]
     pub fn sample<R: Rng>(&self, rng: &mut R) -> Opcode {
-        let u: f64 = rng.gen();
-        let idx = self
-            .cumulative
-            .iter()
-            .position(|&c| u <= c)
-            .unwrap_or(self.entries.len() - 1);
-        self.entries[idx].0
+        self.entries[self.pick(rng.gen())].0
+    }
+
+    /// The index of the first entry whose cumulative weight is at least
+    /// `u`, computed as the number of boundaries below `u`, summed
+    /// without branches: `u` is random, so a search that stops at the
+    /// first match mispredicts on nearly every draw. The two agree
+    /// because `cumulative` is non-decreasing; the last boundary (exactly
+    /// 1) is never below `u < 1`, so it is left out of the count.
+    #[inline]
+    fn pick(&self, u: f64) -> usize {
+        let below = &self.cumulative[..self.cumulative.len() - 1];
+        below.iter().map(|&c| usize::from(c < u)).sum()
     }
 
     /// The opcodes in this mix.
@@ -172,7 +180,7 @@ impl InstMix {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn weights_normalize() {
@@ -204,16 +212,57 @@ mod tests {
         }
     }
 
-    #[test]
-    fn presets_are_well_formed() {
-        for mix in [
+    /// The index rule `sample` used before it went branchless.
+    fn position_rule(mix: &InstMix, u: f64) -> usize {
+        mix.cumulative
+            .iter()
+            .position(|&c| u <= c)
+            .unwrap_or(mix.entries.len() - 1)
+    }
+
+    fn presets() -> [InstMix; 6] {
+        [
             InstMix::fp32_dense(),
             InstMix::fp64_hpc(),
             InstMix::int_graph(),
             InstMix::lookup_physics(),
             InstMix::fp32_stream(),
             InstMix::fp32_control(),
-        ] {
+        ]
+    }
+
+    #[test]
+    fn branchless_pick_matches_position_rule_at_every_boundary() {
+        for mix in presets() {
+            for &c in &mix.cumulative {
+                // The boundary itself and its two float neighbours.
+                let below = f64::from_bits(c.to_bits() - 1);
+                let above = f64::from_bits(c.to_bits() + 1);
+                for u in [below, c, above] {
+                    assert_eq!(mix.pick(u), position_rule(&mix, u), "u = {u:e}");
+                }
+            }
+            for u in [0.0, 0.5, f64::from_bits(1.0f64.to_bits() - 1)] {
+                assert_eq!(mix.pick(u), position_rule(&mix, u), "u = {u:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn branchless_sample_matches_position_rule_over_seeded_draws() {
+        for mix in presets() {
+            let mut rng = SmallRng::seed_from_u64(0x5EED);
+            let mut reference = rng.clone();
+            for _ in 0..100_000 {
+                let u: f64 = reference.gen();
+                assert_eq!(mix.sample(&mut rng), mix.entries[position_rule(&mix, u)].0);
+            }
+        }
+    }
+
+    #[test]
+    fn presets_are_well_formed() {
+        for mix in presets() {
             let total: f64 = mix.opcodes().map(|op| mix.weight_of(op)).sum();
             assert!((total - 1.0).abs() < 1e-9);
         }

@@ -1,7 +1,8 @@
 //! `xp bench`: the simulator hot-path benchmark suite.
 //!
 //! Times [`sim::GpuSim::run_kernel`] on representative compute-, memory-,
-//! and NoC-bound workloads at 1, 8, and 32 GPMs — each under the
+//! and NoC-bound workloads at 1, 8, and 32 GPMs, plus a generated
+//! surrogate kernel (BPROP at smoke scale) at 1 and 32 GPMs — each under the
 //! event-driven loop, the naive per-cycle loop, and the sharded parallel
 //! engine — and writes the results as a machine-readable
 //! `BENCH_sim.json`: wall time per run, simulated cycles per second, the
@@ -29,8 +30,9 @@
 //!   warn/fail drops. This is the gate that catches "everything got
 //!   uniformly slower", which a pure ratio can never see.
 //!
-//! `--baseline-update` re-measures and rewrites the baseline file. The
-//! recorded numbers are a *lower envelope* — the throughput floor the
+//! `--baseline-update` re-measures and rewrites the baseline file (with
+//! `--filter`, only the matching scenarios; the other recorded rows are
+//! kept). The recorded numbers are a *lower envelope* — the throughput floor the
 //! repo has demonstrated — so the update refuses to overwrite a
 //! scenario with lower numbers unless `--allow-regress` is given
 //! (intended flow: regressions are either fixed, or consciously
@@ -89,6 +91,9 @@ enum Kind {
     Memory,
     /// Remote reads crossing the inter-GPM network.
     Noc,
+    /// A generated `workloads` surrogate: the only kind whose warp
+    /// streams come from the trace generator, so generator speed shows.
+    Surrogate,
 }
 
 impl Kind {
@@ -97,6 +102,7 @@ impl Kind {
             Kind::Compute => "compute",
             Kind::Memory => "memory",
             Kind::Noc => "noc",
+            Kind::Surrogate => "surrogate",
         }
     }
 }
@@ -116,7 +122,7 @@ impl KernelProgram for ComputeBound {
         GridShape::new(self.ctas, self.warps)
     }
     fn warp_instructions(&self, _cta: CtaId, _warp: WarpId) -> WarpInstrStream {
-        Box::new((0..self.len).map(|_| WarpInstr::Compute(Opcode::FFma32)))
+        isa::iter_stream((0..self.len).map(|_| WarpInstr::Compute(Opcode::FFma32)))
     }
     fn uniform_warp_program(&self) -> Option<Vec<WarpInstr>> {
         // Every warp runs the identical FMA sequence; let the engine
@@ -143,7 +149,7 @@ impl KernelProgram for MemoryBound {
         let wpc = self.warps as u64;
         let stride = self.lines_per_warp as u64 * 128;
         let base = (cta.0 as u64 * wpc + warp.0 as u64) * stride;
-        Box::new(
+        isa::iter_stream(
             (0..self.lines_per_warp as u64)
                 .map(move |i| WarpInstr::Mem(MemRef::global_load(base + i * 128))),
         )
@@ -175,7 +181,7 @@ impl KernelProgram for NocBound {
     fn warp_instructions(&self, cta: CtaId, warp: WarpId) -> WarpInstrStream {
         let seed = cta.0 as u64 * self.warps as u64 + warp.0 as u64;
         let lines = self.region_lines;
-        Box::new((0..self.loads_per_warp as u64).map(move |i| {
+        isa::iter_stream((0..self.loads_per_warp as u64).map(move |i| {
             let line = (seed.wrapping_mul(97) + i.wrapping_mul(131)) % lines;
             WarpInstr::Mem(MemRef::global_load(line * 128))
         }))
@@ -212,6 +218,13 @@ impl Scenario {
                 loads_per_warp: 32,
                 region_lines: 8192,
             }),
+            Kind::Surrogate => {
+                workloads::by_name("BPROP")
+                    .expect("BPROP is in the suite")
+                    .launches(workloads::Scale::Smoke)
+                    .remove(0)
+                    .program
+            }
         }
     }
 
@@ -252,19 +265,20 @@ impl Scenario {
     }
 }
 
-/// The full suite: compute/memory/noc × 1/8/32 GPMs.
+/// The full suite: compute/memory/noc × 1/8/32 GPMs, then the
+/// surrogate at 1 and 32 GPMs.
 fn suite() -> Vec<Scenario> {
-    let mut s = Vec::new();
-    for kind in [Kind::Compute, Kind::Memory, Kind::Noc] {
-        for gpms in [1usize, 8, 32] {
-            s.push(Scenario {
-                name: format!("{}/{}gpm", kind.as_str(), gpms),
-                kind,
-                gpms,
-            });
-        }
-    }
-    s
+    let points = [Kind::Compute, Kind::Memory, Kind::Noc]
+        .into_iter()
+        .flat_map(|kind| [1usize, 8, 32].map(|gpms| (kind, gpms)))
+        .chain([1usize, 32].map(|gpms| (Kind::Surrogate, gpms)));
+    points
+        .map(|(kind, gpms)| Scenario {
+            name: format!("{}/{}gpm", kind.as_str(), gpms),
+            kind,
+            gpms,
+        })
+        .collect()
 }
 
 /// One timed side (event-driven or naive) of a scenario.
@@ -410,6 +424,34 @@ fn envelope_regressions(baseline: &[BaselineEntry], measured: &[Measured]) -> Ve
         })
         .map(|m| m.name.clone())
         .collect()
+}
+
+/// This run's scenario `rows` plus the rows recorded in `path` for
+/// every suite scenario the run did not measure, in suite order: a
+/// `--filter`ed `--baseline-update` re-records only what it ran and
+/// keeps every other recorded floor.
+fn with_recorded_rows(path: &std::path::Path, rows: Json) -> Json {
+    let recorded = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| Json::parse(&text).ok());
+    let recorded = recorded
+        .as_ref()
+        .and_then(|j| j.get("scenarios"))
+        .and_then(Json::as_array)
+        .unwrap_or(&[]);
+    let fresh = rows.as_array().unwrap_or(&[]);
+    let row_named = |rows: &[Json], name: &str| {
+        rows.iter()
+            .find(|r| r.get("name").and_then(Json::as_str) == Some(name))
+            .cloned()
+    };
+    let mut merged = Json::array();
+    for s in suite() {
+        if let Some(row) = row_named(fresh, &s.name).or_else(|| row_named(recorded, &s.name)) {
+            merged.push(row);
+        }
+    }
+    merged
 }
 
 /// The measured numbers for one scenario, kept for post-table gating.
@@ -631,7 +673,6 @@ pub fn run(opts: &BenchOptions) -> i32 {
         Some(t) => report.insert("sim_threads", t),
         None => report.insert("sim_threads", "auto"),
     };
-    report.insert("scenarios", rows);
 
     let out = opts
         .out
@@ -660,7 +701,9 @@ pub fn run(opts: &BenchOptions) -> i32 {
                 regressed.join(", ")
             );
         }
+        rows = with_recorded_rows(&out, rows);
     }
+    report.insert("scenarios", rows);
     if let Some(dir) = out.parent().filter(|d| !d.as_os_str().is_empty()) {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("xp bench: cannot create {}: {e}", dir.display());
@@ -694,13 +737,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn suite_covers_three_kinds_at_three_scales() {
+    fn suite_covers_three_kinds_at_three_scales_and_the_surrogate() {
         let s = suite();
-        assert_eq!(s.len(), 9);
+        assert_eq!(s.len(), 11);
         for kind in ["compute", "memory", "noc"] {
             for gpms in [1, 8, 32] {
                 assert!(s.iter().any(|x| x.name == format!("{kind}/{gpms}gpm")));
             }
+        }
+        for gpms in [1, 32] {
+            assert!(s.iter().any(|x| x.name == format!("surrogate/{gpms}gpm")));
         }
     }
 
@@ -731,6 +777,43 @@ mod tests {
                 s.name
             );
         }
+    }
+
+    #[test]
+    fn filtered_update_keeps_the_unmeasured_recorded_rows() {
+        let dir = std::env::temp_dir().join(format!("xp-bench-merge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_sim.json");
+        std::fs::write(
+            &path,
+            r#"{"scenarios": [{"name": "surrogate/1gpm", "speedup": 1.0},
+                              {"name": "memory/8gpm", "speedup": 5.8},
+                              {"name": "retired/1gpm", "speedup": 9.9}]}"#,
+        )
+        .unwrap();
+        let mut fresh = Json::array();
+        let mut row = Json::object();
+        row.insert("name", "surrogate/1gpm");
+        row.insert("speedup", 2.0);
+        fresh.push(row);
+        let merged = with_recorded_rows(&path, fresh);
+        let rows: Vec<(&str, f64)> = merged
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|r| {
+                let name = r.get("name").and_then(Json::as_str).unwrap();
+                (name, r.get("speedup").and_then(Json::as_f64).unwrap())
+            })
+            .collect();
+        // Suite order; the fresh row wins; scenarios no longer in the
+        // suite are dropped.
+        assert_eq!(rows, vec![("memory/8gpm", 5.8), ("surrogate/1gpm", 2.0)]);
+        // No recorded file: just the fresh rows.
+        let fresh = Json::parse(r#"[{"name": "noc/1gpm", "speedup": 1.3}]"#).unwrap();
+        let merged = with_recorded_rows(&dir.join("missing.json"), fresh);
+        assert_eq!(merged.as_array().unwrap().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

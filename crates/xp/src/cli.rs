@@ -243,7 +243,9 @@ bench options:
                            (names are kind/gpms, e.g. memory/32gpm)
   --baseline-update        refresh the report in place, treating the existing
                            file as a throughput envelope: refuses to lower a
-                           recorded event-loop cycles/sec floor
+                           recorded event-loop cycles/sec floor; with --filter,
+                           re-records only the matching scenarios and keeps
+                           the other recorded rows
   --allow-regress          with --baseline-update, accept a lowered envelope
   --threads N              worker threads for the parallel-engine side
                            (default: MMGPU_SIM_THREADS, else host parallelism;

@@ -42,7 +42,7 @@ impl KernelProgram for TiledGemm {
         let a_base = row << 20;
         let b_base = (1 << 36) + (col << 20);
         let c_base = (1 << 37) + ((row * tiles + col) << 14);
-        Box::new((0..Self::K_STEPS as u64).flat_map(move |k| {
+        mmgpu::isa::iter_stream((0..Self::K_STEPS as u64).flat_map(move |k| {
             let a = WarpInstr::Mem(MemRef::global_load(a_base + k * 4096 + w * 128));
             let b = WarpInstr::Mem(MemRef::global_load(b_base + k * 4096 + w * 128));
             let smem = WarpInstr::Mem(MemRef::shared((w * 128) % (48 * 1024), false));
