@@ -1,5 +1,7 @@
 //! One bench per scaling figure: regenerates the figure's sweep at smoke
-//! scale through the full sim + energy-model stack.
+//! scale through the full sim + energy-model stack. Nothing primes the
+//! fresh serial lab, so each `run` simulates its points one by one
+//! through `Lab::counts` as it reads them.
 
 use bench::bench_suite;
 use criterion::{criterion_group, criterion_main, Criterion};

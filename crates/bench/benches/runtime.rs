@@ -2,9 +2,11 @@
 //!
 //! Two views, because speedup has two independent ceilings:
 //!
-//! * `fig6_sweep/*` — the real Fig. 6-style sweep through serial and
-//!   multi-thread labs. Each iteration builds a fresh lab so the sweep
-//!   starts from a cold cache; this measures simulation throughput and
+//! * `fig6_sweep/*` — the registry's `fig6` artifact evaluated on serial
+//!   and multi-thread labs; its evaluation primes the plan on the lab's
+//!   executor before the figure body reads it. Each iteration builds a
+//!   fresh lab so the sweep starts from a cold cache; this measures
+//!   simulation throughput and
 //!   its speedup is capped by the host's core count (a 1-core CI box
 //!   shows parity; an 8-core workstation shows near-linear gains up to
 //!   the longest single point).
@@ -18,11 +20,12 @@ use runtime::{ShardedCache, SweepExecutor};
 use std::sync::Arc;
 use std::time::Duration;
 use workloads::Scale;
-use xp::{Fig6, Lab};
+use xp::{ArtifactData, ArtifactRegistry, Lab};
 
-fn fig6_sweep(threads: usize) -> Fig6 {
+fn fig6_sweep(registry: &ArtifactRegistry, threads: usize) -> ArtifactData {
     let lab = Lab::with_threads(Scale::Smoke, threads);
-    Fig6::run(&lab, &bench::bench_suite()).unwrap()
+    let fig6 = registry.get("fig6").unwrap();
+    fig6.evaluate(&lab, &bench::bench_suite()).unwrap()
 }
 
 /// 24 points of 5 ms each: 120 ms serial, ~120/threads ms parallel.
@@ -47,9 +50,10 @@ fn bench_runtime(c: &mut Criterion) {
         });
     }
 
+    let registry = ArtifactRegistry::standard(&Default::default());
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(format!("fig6_sweep/threads={threads}"), |b| {
-            b.iter(|| black_box(fig6_sweep(threads)))
+            b.iter(|| black_box(fig6_sweep(&registry, threads)))
         });
     }
 

@@ -185,10 +185,22 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutting_down.store(true, Ordering::Release);
-        // Wake everyone so blocked workers observe the flag. Queued jobs
-        // are still drained: workers only exit once `pending` is zero.
-        self.shared.work_signal.notify_all();
+        {
+            // Set the flag and wake everyone under the `pending` lock: a
+            // worker checks the flag and parks on `work_signal` while
+            // holding that lock, so the wake-up cannot land between its
+            // check and its wait. Queued jobs are still drained: workers
+            // only exit once `pending` is zero. A poisoned lock still
+            // guards a valid count (each update is one step), and `drop`
+            // must not panic.
+            let _pending = self
+                .shared
+                .pending
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            self.shared.shutting_down.store(true, Ordering::Release);
+            self.shared.work_signal.notify_all();
+        }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -293,6 +305,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::Barrier;
+    use std::time::Duration;
 
     #[test]
     fn runs_every_job_once() {
@@ -354,6 +367,29 @@ mod tests {
         }));
         assert!(result.is_err(), "scope must re-raise a job panic");
         assert_eq!(finished.load(Ordering::SeqCst), 1, "siblings still ran");
+    }
+
+    #[test]
+    fn idle_pools_drop_without_hanging() {
+        // Dropping a pool whose workers are just parking raced the
+        // shutdown wake-up against their flag check; a lost wake-up
+        // blocks `join` forever. Run the churn on a helper thread so a
+        // regression fails here with a message instead of wedging the
+        // test binary.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let churn = std::thread::spawn(move || {
+            for _ in 0..1000 {
+                for threads in 1..=8 {
+                    drop(ThreadPool::new(threads));
+                }
+            }
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(60)).is_ok(),
+            "an idle ThreadPool drop did not join its workers within 60 s"
+        );
+        churn.join().expect("the churn thread finished cleanly");
     }
 
     #[test]

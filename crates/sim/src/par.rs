@@ -89,6 +89,16 @@ pub(crate) fn default_threads() -> usize {
 /// shard jobs must never wait behind another simulation's jobs.
 static PAR_POOL: Mutex<Option<runtime::ThreadPool>> = Mutex::new(None);
 
+/// Serializes this crate's tests that run a parallel engine mode, so none
+/// of them finds [`PAR_POOL`] held by a sibling test and falls back to
+/// the serial engine. Every such test holds the guard while it runs.
+#[cfg(test)]
+pub(crate) fn par_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A failing sibling poisons the lock; the next test may still run.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// A sense-reversing spin barrier for lockstep epochs.
 ///
 /// Shard epochs are microseconds long, so parking on a condvar per
@@ -452,24 +462,18 @@ mod tests {
 
     #[test]
     fn pooled_shards_engage_and_stay_bit_identical() {
-        // The equality half never flakes; the "pool actually engaged"
-        // half retries to tolerate transient PAR_POOL contention from
-        // sibling tests (contenders fall back serially by design).
+        let _serial = par_test_lock();
         let cfg = GpuConfig::tiny(2);
-        for _ in 0..64 {
-            let mut event = GpuSim::with_mode(&cfg, EngineMode::EventDriven);
-            let mut par = GpuSim::with_mode(&cfg, EngineMode::Parallel);
-            par.set_sim_threads(Some(2));
-            assert_eq!(par.run_kernel(&Mixed), event.run_kernel(&Mixed));
-            let p = par.par_stats();
-            if p.kernels == 1 {
-                assert!(p.epochs > 0);
-                assert!(p.merged_accesses > 0);
-                assert_eq!(p.barrier_waits, p.epochs * 2 * 2);
-                return;
-            }
-        }
-        panic!("pooled shard path never engaged in 64 attempts");
+        let mut event = GpuSim::with_mode(&cfg, EngineMode::EventDriven);
+        let mut par = GpuSim::with_mode(&cfg, EngineMode::Parallel);
+        par.set_sim_threads(Some(2));
+        assert_eq!(par.run_kernel(&Mixed), event.run_kernel(&Mixed));
+        let p = par.par_stats();
+        assert_eq!(p.kernels, 1, "the pooled shard path engaged");
+        assert_eq!(p.serial_fallbacks, 0);
+        assert!(p.epochs > 0);
+        assert!(p.merged_accesses > 0);
+        assert_eq!(p.barrier_waits, p.epochs * 2 * 2);
     }
 
     #[test]

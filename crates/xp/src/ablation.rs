@@ -98,20 +98,14 @@ fn variants(gpms: usize) -> Vec<(&'static str, String, ExpConfig)> {
 }
 
 impl AblationStudy {
-    /// The sweep plan at `gpms` modules (shared by `run` and the artifact
-    /// registry).
+    /// The sweep plan at `gpms` modules: every simulation `run` reads.
     pub fn plan_configs(gpms: usize) -> Vec<ExpConfig> {
         variants(gpms).into_iter().map(|(_, _, c)| c).collect()
     }
 
     /// Runs every ablation at `gpms` modules, 2x-BW on-package.
     pub fn run(lab: &Lab, suite: &[WorkloadSpec], gpms: usize) -> Result<Self, ArtifactError> {
-        let variants = variants(gpms);
-        let cfgs: Vec<ExpConfig> = variants.iter().map(|(_, _, c)| c.clone()).collect();
-        lab.prime_suite(suite, &cfgs)
-            .map_err(|e| ArtifactError::from_sweep("ablation", e))?;
-
-        let rows = variants
+        let rows = variants(gpms)
             .into_iter()
             .map(|(knob, variant, cfg)| {
                 let point = format!("{knob} {variant} @ {gpms}-GPM");

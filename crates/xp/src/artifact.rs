@@ -9,9 +9,11 @@
 //!   driver unions the plans of every requested artifact and primes the
 //!   whole batch through the `runtime::SweepExecutor` in one parallel
 //!   sweep, so per-artifact evaluation runs against a warm cache.
-//! * [`Artifact::evaluate`] is the serial, deterministic half: it reads
-//!   cached simulations and computes the figure's numbers, so output is
-//!   byte-identical no matter how many worker threads ran the sweep.
+//! * [`Artifact::evaluate`] primes the artifact's own plan — the one
+//!   place an artifact's simulations are primed, an all-hits pass after
+//!   a union prime — then runs the serial, deterministic body, which only
+//!   reads the lab, so output is byte-identical no matter how many worker
+//!   threads ran the sweep.
 //!
 //! Statistics over sweep results go through the fallible [`mean_of`] /
 //! [`geomean_of`] helpers, which turn an empty or out-of-domain sample
@@ -69,11 +71,11 @@ impl ArtifactError {
 
     /// Wraps a failed sweep prime, naming the artifact whose plan was
     /// being simulated.
-    pub fn from_sweep(artifact: impl Into<String>, err: runtime::SweepError) -> Self {
+    pub fn from_sweep(artifact: impl Into<String>, err: &runtime::SweepError) -> Self {
         ArtifactError::new(
             artifact,
             "sweep prime",
-            ArtifactErrorKind::Sweep(err.message),
+            ArtifactErrorKind::Sweep(err.message.clone()),
         )
     }
 
@@ -191,27 +193,60 @@ pub struct ArtifactData {
     pub json: Json,
 }
 
-/// One paper artifact: identity, a declarative sweep plan, and an
-/// evaluation producing [`ArtifactData`].
-pub trait Artifact: Send + Sync {
+/// The body of an artifact: computes its numbers from an already-primed
+/// lab.
+pub(crate) type EvalFn =
+    Box<dyn Fn(&Lab, &[WorkloadSpec]) -> Result<ArtifactData, ArtifactError> + Send + Sync>;
+
+/// One paper artifact: identity, a declarative sweep plan, and a body
+/// producing [`ArtifactData`] from the simulations the plan names.
+pub struct Artifact {
+    pub(crate) id: &'static str,
+    pub(crate) title: &'static str,
+    /// A wrapper over other artifacts (excluded from `xp run all`).
+    pub(crate) composite: bool,
+    pub(crate) plan: Box<dyn Fn() -> SweepPlan + Send + Sync>,
+    pub(crate) eval: EvalFn,
+}
+
+impl Artifact {
     /// Stable identifier (`fig6`, `table1b`, `repro_report`, ...); the
     /// CLI name and the JSON file stem.
-    fn id(&self) -> &'static str;
+    pub fn id(&self) -> &'static str {
+        self.id
+    }
 
     /// One-line human title shown by `xp list`.
-    fn title(&self) -> &'static str;
+    pub fn title(&self) -> &'static str {
+        self.title
+    }
 
-    /// What to sweep (and whether the fitting pipeline is needed)
-    /// before [`Artifact::evaluate`] can run from a warm cache.
-    fn plan(&self) -> SweepPlan;
-
-    /// Runs the artifact against the lab and workload suite.
-    fn evaluate(&self, lab: &Lab, suite: &[WorkloadSpec]) -> Result<ArtifactData, ArtifactError>;
+    /// What to sweep (and whether the fitting pipeline is needed): every
+    /// simulation the body reads.
+    pub fn plan(&self) -> SweepPlan {
+        (self.plan)()
+    }
 
     /// Whether this artifact is a composite wrapper over other
     /// artifacts (excluded from `xp run all` to avoid double work).
-    fn composite(&self) -> bool {
-        false
+    pub fn composite(&self) -> bool {
+        self.composite
+    }
+
+    /// Primes the plan on `lab`, then runs the body against it. After a
+    /// union prime covering this plan the prime is an all-hits pass; a
+    /// point that failed even after the executor's retries becomes a
+    /// typed [`ArtifactErrorKind::Sweep`] failure here instead of a
+    /// panic in the body.
+    pub fn evaluate(
+        &self,
+        lab: &Lab,
+        suite: &[WorkloadSpec],
+    ) -> Result<ArtifactData, ArtifactError> {
+        if let Some(err) = lab.prime_plan(suite, &self.plan()).first_error() {
+            return Err(ArtifactError::from_sweep(self.id, err));
+        }
+        (self.eval)(lab, suite)
     }
 }
 

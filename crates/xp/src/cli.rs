@@ -9,7 +9,8 @@
 //!
 //! `run` unions the selected artifacts' sweep plans into one batch prime
 //! through the runtime executor, then evaluates each artifact against the
-//! warm cache; per-artifact internal primes become cache hits. With
+//! warm cache; each artifact's own prime in `Artifact::evaluate` is then
+//! an all-hits pass. With
 //! `--out`, the driver writes one `<id>.json` per artifact plus a
 //! `manifest.json` recording the configuration digest, suite, thread
 //! count, wall time, and the prime sweep's report and metrics.
@@ -59,6 +60,41 @@ enum Command {
     Serve(ServeOptions),
     Query(QueryOptions),
     Top(TopOptions),
+}
+
+/// The `--socket PATH | --tcp ADDR` pair that `xp query` and `xp top`
+/// take to reach a running daemon.
+#[derive(Debug, Default)]
+struct EndpointArgs {
+    socket: Option<PathBuf>,
+    tcp: Option<String>,
+}
+
+impl EndpointArgs {
+    /// Records `flag` (`--socket` or `--tcp`) with its `value`; errors
+    /// name the command `cmd` (`"xp query"`, ...).
+    fn take(&mut self, cmd: &str, flag: &str, value: Option<&String>) -> Result<(), String> {
+        if flag == "--socket" {
+            let v = value.ok_or_else(|| format!("{cmd}: --socket: missing path"))?;
+            self.socket = Some(PathBuf::from(v));
+        } else {
+            let v = value.ok_or_else(|| format!("{cmd}: --tcp: missing address"))?;
+            self.tcp = Some(v.clone());
+        }
+        Ok(())
+    }
+
+    /// The one endpoint given: exactly one of `--socket` / `--tcp`.
+    fn finish(self, cmd: &str) -> Result<xpd::client::Endpoint, String> {
+        match (self.socket, self.tcp) {
+            (Some(path), None) => Ok(xpd::client::Endpoint::Unix(path)),
+            (None, Some(addr)) => Ok(xpd::client::Endpoint::Tcp(addr)),
+            (None, None) => Err(format!(
+                "{cmd}: no daemon endpoint (pass --socket PATH or --tcp ADDR)"
+            )),
+            (Some(_), Some(_)) => Err(format!("{cmd}: --socket and --tcp are mutually exclusive")),
+        }
+    }
 }
 
 /// Options for `xp serve`.
@@ -523,8 +559,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Serve(opts))
         }
         "query" => {
-            let mut socket: Option<PathBuf> = None;
-            let mut tcp: Option<String> = None;
+            let mut endpoint = EndpointArgs::default();
             let mut artifact: Option<String> = None;
             let mut sets: Vec<(String, String)> = Vec::new();
             let mut stats = false;
@@ -539,18 +574,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
             let mut backoff = Duration::from_millis(100);
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--socket" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp query: --socket: missing path".to_string())?;
-                        socket = Some(PathBuf::from(v));
-                    }
-                    "--tcp" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp query: --tcp: missing address".to_string())?;
-                        tcp = Some(v.clone());
-                    }
+                    "--socket" | "--tcp" => endpoint.take("xp query", arg, it.next())?,
                     "--set" => {
                         let v = it
                             .next()
@@ -625,19 +649,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
                     }
                 }
             }
-            let endpoint = match (socket, tcp) {
-                (Some(path), None) => xpd::client::Endpoint::Unix(path),
-                (None, Some(addr)) => xpd::client::Endpoint::Tcp(addr),
-                (None, None) => {
-                    return Err(
-                        "xp query: no daemon endpoint (pass --socket PATH or --tcp ADDR)"
-                            .to_string(),
-                    )
-                }
-                (Some(_), Some(_)) => {
-                    return Err("xp query: --socket and --tcp are mutually exclusive".to_string())
-                }
-            };
+            let endpoint = endpoint.finish("xp query")?;
             if (stats || health || shutdown || metrics) && !sets.is_empty() {
                 return Err("xp query: --set only applies to artifact queries".to_string());
             }
@@ -691,24 +703,12 @@ fn parse(args: &[String]) -> Result<Command, String> {
             }))
         }
         "top" => {
-            let mut socket: Option<PathBuf> = None;
-            let mut tcp: Option<String> = None;
+            let mut endpoint = EndpointArgs::default();
             let mut interval = Duration::from_millis(2000);
             let mut once = false;
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--socket" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp top: --socket: missing path".to_string())?;
-                        socket = Some(PathBuf::from(v));
-                    }
-                    "--tcp" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp top: --tcp: missing address".to_string())?;
-                        tcp = Some(v.clone());
-                    }
+                    "--socket" | "--tcp" => endpoint.take("xp top", arg, it.next())?,
                     "--interval-ms" => {
                         let v = it
                             .next()
@@ -724,18 +724,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
                     other => return Err(format!("xp top: unknown option {other}")),
                 }
             }
-            let endpoint = match (socket, tcp) {
-                (Some(path), None) => xpd::client::Endpoint::Unix(path),
-                (None, Some(addr)) => xpd::client::Endpoint::Tcp(addr),
-                (None, None) => {
-                    return Err(
-                        "xp top: no daemon endpoint (pass --socket PATH or --tcp ADDR)".to_string(),
-                    )
-                }
-                (Some(_), Some(_)) => {
-                    return Err("xp top: --socket and --tcp are mutually exclusive".to_string())
-                }
-            };
+            let endpoint = endpoint.finish("xp top")?;
             Ok(Command::Top(TopOptions {
                 endpoint,
                 interval,
@@ -1566,8 +1555,9 @@ fn run(opts: &RunOptions) -> i32 {
     let suite = default_suite();
 
     // Union the plans of the artifacts that will actually run and prime
-    // them in one batch (fit included), so artifact-internal primes and
-    // fits become cache hits. A fully-resumed batch primes nothing.
+    // them in one batch (fit included), so each artifact's own prime in
+    // `Artifact::evaluate` is all hits. A fully-resumed batch primes
+    // nothing.
     let mut plan = SweepPlan::none();
     for id in &to_run {
         plan.merge(registry.get(id).unwrap().plan());

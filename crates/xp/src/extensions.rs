@@ -25,8 +25,7 @@ pub struct GatingStudy {
 }
 
 impl GatingStudy {
-    /// The sweep plan at `gpms` modules (shared by `run` and the artifact
-    /// registry).
+    /// The sweep plan at `gpms` modules: every simulation `run` reads.
     pub fn plan_configs(gpms: usize) -> Vec<ExpConfig> {
         vec![ExpConfig::paper_default(gpms, BwSetting::X2)]
     }
@@ -34,8 +33,6 @@ impl GatingStudy {
     /// Sweeps gating effectiveness at `gpms` modules, 2x-BW on-package.
     pub fn run(lab: &Lab, suite: &[WorkloadSpec], gpms: usize) -> Result<Self, ArtifactError> {
         let cfg = ExpConfig::paper_default(gpms, BwSetting::X2);
-        lab.prime_suite(suite, std::slice::from_ref(&cfg))
-            .map_err(|e| ArtifactError::from_sweep("extensions", e))?;
         let rows = [0.0, 0.25, 0.5, 0.75, 1.0]
             .iter()
             .map(|&eff| {
@@ -115,8 +112,7 @@ const COMPRESSION_PJ_PER_BIT: f64 = 2.0;
 const COMPRESSION_RATIOS: [f64; 4] = [1.0, 1.5, 2.0, 3.0];
 
 impl CompressionStudy {
-    /// The sweep plan at `gpms` modules (shared by `run` and the artifact
-    /// registry).
+    /// The sweep plan at `gpms` modules: every simulation `run` reads.
     pub fn plan_configs(gpms: usize) -> Vec<ExpConfig> {
         COMPRESSION_RATIOS
             .iter()
@@ -128,8 +124,6 @@ impl CompressionStudy {
     /// starved on-board 1x-BW configuration, charging the engines'
     /// energy on top.
     pub fn run(lab: &Lab, suite: &[WorkloadSpec], gpms: usize) -> Result<Self, ArtifactError> {
-        lab.prime_suite(suite, &Self::plan_configs(gpms))
-            .map_err(|e| ArtifactError::from_sweep("extensions", e))?;
         let rows = COMPRESSION_RATIOS
             .iter()
             .map(|&ratio| {
@@ -226,8 +220,7 @@ pub struct DvfsStudy {
 const DVFS_SCALES: [f64; 4] = [1.0, 0.85, 0.7, 0.55];
 
 impl DvfsStudy {
-    /// The sweep plan at `gpms` modules (shared by `run` and the artifact
-    /// registry).
+    /// The sweep plan at `gpms` modules: every simulation `run` reads.
     pub fn plan_configs(gpms: usize) -> Vec<ExpConfig> {
         DVFS_SCALES
             .iter()
@@ -239,8 +232,6 @@ impl DvfsStudy {
     /// dynamic energy scaled by the classic `V ∝ f` assumption (energy
     /// per operation ∝ `scale²`).
     pub fn run(lab: &Lab, suite: &[WorkloadSpec], gpms: usize) -> Result<Self, ArtifactError> {
-        lab.prime_suite(suite, &Self::plan_configs(gpms))
-            .map_err(|e| ArtifactError::from_sweep("extensions", e))?;
         let rows = DVFS_SCALES
             .iter()
             .map(|&scale| {
@@ -333,7 +324,7 @@ pub struct MetricWeightStudy {
 }
 
 impl MetricWeightStudy {
-    /// The sweep plan (shared by `run` and the artifact registry).
+    /// The sweep plan: every simulation `run` reads.
     pub fn plan_configs() -> Vec<ExpConfig> {
         crate::configs::SCALED_GPM_COUNTS
             .iter()
@@ -343,8 +334,6 @@ impl MetricWeightStudy {
 
     /// Runs the comparison across GPM counts at 2x-BW.
     pub fn run(lab: &Lab, suite: &[WorkloadSpec]) -> Result<Self, ArtifactError> {
-        lab.prime_suite(suite, &Self::plan_configs())
-            .map_err(|e| ArtifactError::from_sweep("extensions", e))?;
         let rows = crate::configs::SCALED_GPM_COUNTS
             .iter()
             .map(|&n| {

@@ -6,6 +6,11 @@
 //! follow the paper's conventions: arithmetic means for EDPSE percentages
 //! and normalized energies, geometric means for speedups.
 //!
+//! `run` only reads the lab: [`crate::artifact::Artifact::evaluate`]
+//! primes the generator's `plan_configs` first, so every simulation it
+//! reads is a cache hit. (On a cold lab `run` still works, simulating
+//! each missing point serially through [`Lab::counts`].)
+//!
 //! `run` is fallible: statistics over an empty or out-of-domain sample set
 //! (possible with a filtered suite) surface as a typed
 //! [`ArtifactError`] naming the artifact and sweep point instead of
@@ -33,7 +38,7 @@ pub struct Fig2 {
 }
 
 impl Fig2 {
-    /// The sweep plan (shared by `run` and the artifact registry).
+    /// The sweep plan: every simulation `run` reads.
     pub fn plan_configs() -> Vec<ExpConfig> {
         SCALED_GPM_COUNTS
             .iter()
@@ -44,8 +49,6 @@ impl Fig2 {
     /// Runs the sweep.
     pub fn run(lab: &Lab, suite: &[WorkloadSpec]) -> Result<Self, ArtifactError> {
         let cfgs = Self::plan_configs();
-        lab.prime_suite(suite, &cfgs)
-            .map_err(|e| ArtifactError::from_sweep("fig2", e))?;
         let points = SCALED_GPM_COUNTS
             .iter()
             .zip(&cfgs)
@@ -95,7 +98,7 @@ pub struct Fig6 {
 }
 
 impl Fig6 {
-    /// The sweep plan (shared by `run` and the artifact registry).
+    /// The sweep plan: every simulation `run` reads.
     pub fn plan_configs() -> Vec<ExpConfig> {
         SCALED_GPM_COUNTS
             .iter()
@@ -105,8 +108,6 @@ impl Fig6 {
 
     /// Runs the sweep.
     pub fn run(lab: &Lab, suite: &[WorkloadSpec]) -> Result<Self, ArtifactError> {
-        lab.prime_suite(suite, &Self::plan_configs())
-            .map_err(|e| ArtifactError::from_sweep("fig6", e))?;
         let rows = SCALED_GPM_COUNTS
             .iter()
             .map(|&n| {
@@ -205,7 +206,7 @@ pub struct Fig7 {
 }
 
 impl Fig7 {
-    /// The sweep plan (shared by `run` and the artifact registry).
+    /// The sweep plan: every simulation `run` reads.
     pub fn plan_configs() -> Vec<ExpConfig> {
         let mut cfgs: Vec<ExpConfig> = SCALED_GPM_COUNTS
             .iter()
@@ -218,8 +219,6 @@ impl Fig7 {
 
     /// Runs the sweep.
     pub fn run(lab: &Lab, suite: &[WorkloadSpec]) -> Result<Self, ArtifactError> {
-        lab.prime_suite(suite, &Self::plan_configs())
-            .map_err(|e| ArtifactError::from_sweep("fig7", e))?;
         let mut steps = Vec::new();
         for &n in &SCALED_GPM_COUNTS {
             let prev_n = n / 2;
@@ -342,7 +341,7 @@ pub struct Fig8 {
 }
 
 impl Fig8 {
-    /// The sweep plan (shared by `run` and the artifact registry).
+    /// The sweep plan: every simulation `run` reads.
     pub fn plan_configs() -> Vec<ExpConfig> {
         BwSetting::ALL
             .into_iter()
@@ -356,8 +355,6 @@ impl Fig8 {
 
     /// Runs the sweep over all three bandwidth settings.
     pub fn run(lab: &Lab, suite: &[WorkloadSpec]) -> Result<Self, ArtifactError> {
-        lab.prime_suite(suite, &Self::plan_configs())
-            .map_err(|e| ArtifactError::from_sweep("fig8", e))?;
         let mut rows = Vec::new();
         for bw in BwSetting::ALL {
             for &n in &SCALED_GPM_COUNTS {
@@ -441,7 +438,7 @@ impl Fig9 {
         ("Switch (2x-BW)", BwSetting::X2, Topology::Switch),
     ];
 
-    /// The sweep plan (shared by `run` and the artifact registry).
+    /// The sweep plan: every simulation `run` reads.
     pub fn plan_configs() -> Vec<ExpConfig> {
         Self::SERIES
             .iter()
@@ -455,8 +452,6 @@ impl Fig9 {
 
     /// Runs the sweep.
     pub fn run(lab: &Lab, suite: &[WorkloadSpec]) -> Result<Self, ArtifactError> {
-        lab.prime_suite(suite, &Self::plan_configs())
-            .map_err(|e| ArtifactError::from_sweep("fig9", e))?;
         let mut rows = Vec::new();
         for (label, bw, topo) in Self::SERIES {
             for &n in &SCALED_GPM_COUNTS {
@@ -529,7 +524,7 @@ pub struct Fig10 {
 }
 
 impl Fig10 {
-    /// The sweep plan (shared by `run` and the artifact registry).
+    /// The sweep plan: every simulation `run` reads.
     pub fn plan_configs() -> Vec<ExpConfig> {
         SCALED_GPM_COUNTS
             .iter()
@@ -543,8 +538,6 @@ impl Fig10 {
 
     /// Runs the sweep.
     pub fn run(lab: &Lab, suite: &[WorkloadSpec]) -> Result<Self, ArtifactError> {
-        lab.prime_suite(suite, &Self::plan_configs())
-            .map_err(|e| ArtifactError::from_sweep("fig10", e))?;
         let mut rows = Vec::new();
         for &n in &SCALED_GPM_COUNTS {
             for bw in BwSetting::ALL {
@@ -629,7 +622,7 @@ pub struct PointStudies {
 }
 
 impl PointStudies {
-    /// The sweep plan (shared by `run` and the artifact registry).
+    /// The sweep plan: every simulation `run` reads.
     pub fn plan_configs() -> Vec<ExpConfig> {
         vec![
             ExpConfig::paper_default(32, BwSetting::X1),
@@ -642,10 +635,8 @@ impl PointStudies {
 
     /// Runs all point studies.
     pub fn run(lab: &Lab, suite: &[WorkloadSpec]) -> Result<Self, ArtifactError> {
-        // Every study point reduces to one of these simulations (the
+        // Every study point reads one of the planned simulations (the
         // energy-model knobs — link pJ/bit, amortization — share counts).
-        lab.prime_suite(suite, &Self::plan_configs())
-            .map_err(|e| ArtifactError::from_sweep("point_studies", e))?;
         let edpse_avg = |lab: &Lab, cfg: &ExpConfig, point: &str| {
             let v: Vec<f64> = suite.iter().map(|w| lab.edpse(w, cfg)).collect();
             mean_of("point_studies", point, &v)
@@ -808,7 +799,7 @@ pub struct Headline {
 }
 
 impl Headline {
-    /// The sweep plan (shared by `run` and the artifact registry).
+    /// The sweep plan: every simulation `run` reads.
     pub fn plan_configs() -> Vec<ExpConfig> {
         vec![
             ExpConfig::paper_default(32, BwSetting::X1),
@@ -820,8 +811,6 @@ impl Headline {
     pub fn run(lab: &Lab, suite: &[WorkloadSpec]) -> Result<Self, ArtifactError> {
         let naive = ExpConfig::paper_default(32, BwSetting::X1);
         let optimized = ExpConfig::paper_default(32, BwSetting::X4);
-        lab.prime_suite(suite, &[naive.clone(), optimized.clone()])
-            .map_err(|e| ArtifactError::from_sweep("headline", e))?;
         let naive_e: Vec<f64> = suite.iter().map(|w| lab.energy_ratio(w, &naive)).collect();
         let opt_e: Vec<f64> = suite
             .iter()

@@ -8,13 +8,14 @@
 //!
 //! Since the runtime port, the cache is a [`runtime::ShardedCache`] shared
 //! across threads and sweeps go through a [`runtime::SweepExecutor`]:
-//! callers prime a [`SweepPlan`] ([`Lab::prime_plan`], or
-//! [`Lab::prime_suite`] for a bare config list) to simulate every point
-//! of it in parallel, then evaluate serially against the warm cache, so
-//! the printed output is byte-for-byte identical no matter how many
-//! worker threads ran the simulations. [`Lab::plan_is_cached`] is the
-//! read-only twin: it probes the very points a prime of the same plan
-//! fills.
+//! [`Lab::prime_plan`] simulates every point of a [`SweepPlan`] in
+//! parallel, and evaluation then reads the warm cache serially, so the
+//! printed output is byte-for-byte identical no matter how many worker
+//! threads ran the simulations. Three callers prime: the `xp run` union
+//! prime, the daemon's batch prime, and
+//! [`crate::artifact::Artifact::evaluate`] for its own plan; figure and
+//! study bodies only read. [`Lab::plan_is_cached`] is the read-only twin:
+//! it probes the very points a prime of the same plan fills.
 
 use crate::artifact::SweepPlan;
 use crate::configs::ExpConfig;
@@ -22,9 +23,7 @@ use crate::validation;
 use common::units::Time;
 use gpujoule::{EdpScalingEfficiency, EnergyBreakdown, EnergyDelay};
 use isa::EventCounts;
-use runtime::{
-    FaultPlan, RetryPolicy, ShardedCache, SweepError, SweepExecutor, SweepMetrics, SweepReport,
-};
+use runtime::{FaultPlan, RetryPolicy, ShardedCache, SweepExecutor, SweepMetrics, SweepReport};
 use sim::GpuSim;
 use std::sync::{Arc, Mutex};
 use workloads::{Scale, WorkloadSpec};
@@ -206,7 +205,8 @@ impl Lab {
     /// cached by earlier sweeps — are simulated once. Returns the sweep
     /// report (submission-ordered outcomes plus metrics); a panicking
     /// point surfaces as a per-point [`runtime::SweepError`] without
-    /// aborting the rest of the sweep.
+    /// aborting the rest of the sweep. An empty point list is not a
+    /// sweep: it leaves [`Lab::sweep_history`] untouched.
     pub fn prime(&self, points: &[(WorkloadSpec, ExpConfig)]) -> SweepReport<Arc<EventCounts>> {
         let _span = trace::span("xp.prime");
         let scale = self.scale;
@@ -219,17 +219,20 @@ impl Lab {
             .run_keyed(&self.cache, items, move |_key, (w, c)| {
                 simulate(scale, w, c)
             });
-        self.sweeps
-            .lock()
-            .unwrap()
-            .push(Arc::clone(&report.metrics));
+        if !points.is_empty() {
+            self.sweeps
+                .lock()
+                .unwrap()
+                .push(Arc::clone(&report.metrics));
+        }
         report
     }
 
     /// Primes everything evaluating `plan` over `suite` reads: the fitted
     /// model when the plan needs it, then the suite at the 1-GPM baseline
     /// and at each of the plan's distinct configs, in one executor sweep.
-    /// Returns that sweep's report (empty when the plan has no configs).
+    /// Returns that sweep's report (empty, and not recorded in
+    /// [`Lab::sweep_history`], when the plan has no configs).
     pub fn prime_plan(
         &self,
         suite: &[WorkloadSpec],
@@ -250,26 +253,6 @@ impl Lab {
             && plan_points(suite, plan)
                 .iter()
                 .all(|(w, c)| self.is_cached(w, c))
-    }
-
-    /// Primes `suite x configs` (plus the 1-GPM baseline) as a pure sweep
-    /// plan. Figure generators call this before their serial evaluation
-    /// loops.
-    ///
-    /// A point that fails even after the executor's retries surfaces
-    /// here as the sweep's first [`SweepError`], so callers report a
-    /// typed artifact failure instead of re-panicking during the serial
-    /// evaluation pass.
-    pub fn prime_suite(
-        &self,
-        suite: &[WorkloadSpec],
-        configs: &[ExpConfig],
-    ) -> Result<(), SweepError> {
-        let report = self.prime_plan(suite, &SweepPlan::sweep(configs.to_vec()));
-        match report.first_error() {
-            Some(err) => Err(err.clone()),
-            None => Ok(()),
-        }
     }
 
     /// Metrics of the most recent [`Lab::prime`] sweep, if any ran.
@@ -462,6 +445,16 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_without_configs_records_no_sweep() {
+        let lab = Lab::with_threads(Scale::Smoke, 2);
+        let suite = [by_name("Stream").unwrap()];
+        let report = lab.prime_plan(&suite, &SweepPlan::none());
+        assert!(report.outcomes.is_empty());
+        assert!(lab.sweep_history().is_empty(), "no points, no sweep");
+        assert_eq!(lab.cached_runs(), 0);
+    }
+
+    #[test]
     fn parallel_results_match_serial() {
         let serial = Lab::new(Scale::Smoke);
         let parallel = Lab::with_threads(Scale::Smoke, 8);
@@ -470,9 +463,9 @@ mod tests {
             ExpConfig::paper_default(2, BwSetting::X2),
             ExpConfig::paper_default(4, BwSetting::X1),
         ];
-        parallel
-            .prime_suite(std::slice::from_ref(&w), &cfgs)
-            .unwrap();
+        let report =
+            parallel.prime_plan(std::slice::from_ref(&w), &SweepPlan::sweep(cfgs.to_vec()));
+        assert_eq!(report.failures(), 0);
         for cfg in &cfgs {
             assert_eq!(serial.edpse(&w, cfg), parallel.edpse(&w, cfg));
             assert_eq!(serial.speedup(&w, cfg), parallel.speedup(&w, cfg));

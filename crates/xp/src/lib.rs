@@ -9,7 +9,9 @@
 //! artifact declares its (workload × configuration) sweep as data, runs
 //! through the `sim` + `gpujoule` stack via a shared [`lab::Lab`] cache,
 //! and renders both the historical text tables and a structured JSON
-//! payload. See DESIGN.md for the experiment index and EXPERIMENTS.md for
+//! payload. [`artifact::Artifact::evaluate`] is the one place an
+//! artifact's simulations are primed: it primes the plan, then runs the
+//! figure or study body, which only reads the lab. See DESIGN.md for the experiment index and EXPERIMENTS.md for
 //! paper-vs-measured comparisons.
 
 pub mod ablation;

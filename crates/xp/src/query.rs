@@ -218,7 +218,7 @@ impl RegistryEngine {
         &self.lab
     }
 
-    fn artifact(&self, id: &str) -> Result<&dyn Artifact, String> {
+    fn artifact(&self, id: &str) -> Result<&Artifact, String> {
         self.registry
             .get(id)
             .ok_or_else(|| format!("unknown artifact {id:?} (try `xp list`)"))
@@ -257,7 +257,7 @@ impl RegistryEngine {
     /// suite mean and geomean per configuration.
     fn whatif_payload(
         &self,
-        artifact: &dyn Artifact,
+        artifact: &Artifact,
         sets: &[(String, String)],
         configs: &[ExpConfig],
     ) -> Result<Json, String> {
@@ -361,8 +361,9 @@ impl xpd::QueryEngine for RegistryEngine {
     fn evaluate(&self, reqs: &[QueryRequest]) -> Vec<Result<String, String>> {
         let _span = trace::span("xp.query.batch");
         // Merge every request's plan into one prime — the batching win:
-        // shared points across queries simulate once. A request whose
-        // plan fails reports that error from `evaluate_one`.
+        // shared points across queries simulate once, and each plain
+        // query's own prime in `Artifact::evaluate` is then all hits. A
+        // request whose plan fails reports that error from `evaluate_one`.
         let mut plan = SweepPlan::none();
         for p in reqs.iter().filter_map(|req| self.request_plan(req).ok()) {
             plan.merge(p);

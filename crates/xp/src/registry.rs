@@ -2,7 +2,9 @@
 //! can reproduce, addressable by id. The `xp` CLI driver resolves ids
 //! against [`ArtifactRegistry::standard`], unions the artifacts' sweep
 //! plans into one batch prime, and evaluates each artifact against the
-//! warm cache.
+//! warm cache. Each entry is an [`Artifact`] built from a plan closure and
+//! a body closure; the bodies only read the lab, because
+//! [`Artifact::evaluate`] primes the plan before calling them.
 //!
 //! Artifact text output is byte-identical to what the historical one-off
 //! binaries (`cargo run -p xp --bin fig6` and friends) printed.
@@ -38,41 +40,6 @@ impl Default for RegistryOptions {
     }
 }
 
-/// An [`Artifact`] assembled from plain functions — the registry's
-/// uniform wrapper around the figure/table/study generators.
-struct DynArtifact {
-    id: &'static str,
-    title: &'static str,
-    composite: bool,
-    plan: Box<dyn Fn() -> SweepPlan + Send + Sync>,
-    eval: EvalFn,
-}
-
-type EvalFn =
-    Box<dyn Fn(&Lab, &[WorkloadSpec]) -> Result<ArtifactData, ArtifactError> + Send + Sync>;
-
-impl Artifact for DynArtifact {
-    fn id(&self) -> &'static str {
-        self.id
-    }
-
-    fn title(&self) -> &'static str {
-        self.title
-    }
-
-    fn plan(&self) -> SweepPlan {
-        (self.plan)()
-    }
-
-    fn evaluate(&self, lab: &Lab, suite: &[WorkloadSpec]) -> Result<ArtifactData, ArtifactError> {
-        (self.eval)(lab, suite)
-    }
-
-    fn composite(&self) -> bool {
-        self.composite
-    }
-}
-
 /// Builds an [`ArtifactData`] with the standard id/title JSON envelope.
 fn data(id: &'static str, title: &'static str, text: String, payload: Json) -> ArtifactData {
     ArtifactData {
@@ -85,9 +52,9 @@ fn data(id: &'static str, title: &'static str, text: String, payload: Json) -> A
 // Figure artifacts
 // ---------------------------------------------------------------------------
 
-fn fig2_artifact() -> DynArtifact {
+fn fig2_artifact() -> Artifact {
     let (id, title) = ("fig2", "Figure 2: on-board strong-scaling energy");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -103,9 +70,9 @@ fn fig2_artifact() -> DynArtifact {
     }
 }
 
-fn fig6_artifact() -> DynArtifact {
+fn fig6_artifact() -> Artifact {
     let (id, title) = ("fig6", "Figure 6: EDPSE by workload category at 2x-BW");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -121,9 +88,9 @@ fn fig6_artifact() -> DynArtifact {
     }
 }
 
-fn fig7_artifact() -> DynArtifact {
+fn fig7_artifact() -> Artifact {
     let (id, title) = ("fig7", "Figure 7: per-step speedup and energy breakdown");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -140,9 +107,9 @@ fn fig7_artifact() -> DynArtifact {
     }
 }
 
-fn fig8_artifact() -> DynArtifact {
+fn fig8_artifact() -> Artifact {
     let (id, title) = ("fig8", "Figure 8: EDPSE vs interconnect bandwidth");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -158,9 +125,9 @@ fn fig8_artifact() -> DynArtifact {
     }
 }
 
-fn fig9_artifact() -> DynArtifact {
+fn fig9_artifact() -> Artifact {
     let (id, title) = ("fig9", "Figure 9: on-board ring vs high-radix switch");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -176,9 +143,9 @@ fn fig9_artifact() -> DynArtifact {
     }
 }
 
-fn fig10_artifact() -> DynArtifact {
+fn fig10_artifact() -> Artifact {
     let (id, title) = ("fig10", "Figure 10: speedup and energy across settings");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -194,9 +161,9 @@ fn fig10_artifact() -> DynArtifact {
     }
 }
 
-fn point_studies_artifact() -> DynArtifact {
+fn point_studies_artifact() -> Artifact {
     let (id, title) = ("point_studies", "§V-C/§V-D point studies at 32-GPM");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -212,9 +179,9 @@ fn point_studies_artifact() -> DynArtifact {
     }
 }
 
-fn headline_artifact() -> DynArtifact {
+fn headline_artifact() -> Artifact {
     let (id, title) = ("headline", "§VII headline: naive vs optimized 32-GPM");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -231,9 +198,9 @@ fn headline_artifact() -> DynArtifact {
 // Study artifacts
 // ---------------------------------------------------------------------------
 
-fn ablation_artifact() -> DynArtifact {
+fn ablation_artifact() -> Artifact {
     let (id, title) = ("ablation", "Design-choice ablations at 8/32-GPM");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -261,12 +228,12 @@ fn ablation_artifact() -> DynArtifact {
     }
 }
 
-fn extensions_artifact() -> DynArtifact {
+fn extensions_artifact() -> Artifact {
     let (id, title) = (
         "extensions",
         "§V-E extensions: gating, compression, DVFS, metrics",
     );
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -303,9 +270,9 @@ fn extensions_artifact() -> DynArtifact {
 // Static tables
 // ---------------------------------------------------------------------------
 
-fn tables_artifact() -> DynArtifact {
+fn tables_artifact() -> Artifact {
     let (id, title) = ("tables", "Tables III/IV: the simulated configuration space");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -381,9 +348,9 @@ fn tables_artifact() -> DynArtifact {
 // Validation artifacts (§IV — fitting pipeline)
 // ---------------------------------------------------------------------------
 
-fn table1b_artifact() -> DynArtifact {
+fn table1b_artifact() -> Artifact {
     let (id, title) = ("table1b", "Table Ib: fitted vs published energy per op");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -404,9 +371,9 @@ fn table1b_artifact() -> DynArtifact {
     }
 }
 
-fn fig4a_artifact() -> DynArtifact {
+fn fig4a_artifact() -> Artifact {
     let (id, title) = ("fig4a", "Figure 4a: mixed-microbenchmark validation");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -431,9 +398,9 @@ fn fig4a_artifact() -> DynArtifact {
     }
 }
 
-fn fig4b_artifact() -> DynArtifact {
+fn fig4b_artifact() -> Artifact {
     let (id, title) = ("fig4b", "Figure 4b: application-suite validation");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -509,16 +476,14 @@ fn sensitivity_point(
     ))
 }
 
-fn sensitivity_artifact() -> DynArtifact {
+fn sensitivity_artifact() -> Artifact {
     let (id, title) = ("sensitivity", "Energy-model anchor sensitivity at 32-GPM");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
         plan: Box::new(|| SweepPlan::sweep(vec![ExpConfig::paper_default(32, BwSetting::X2)])),
         eval: Box::new(move |lab, suite| {
-            lab.prime_suite(suite, &[ExpConfig::paper_default(32, BwSetting::X2)])
-                .map_err(|e| ArtifactError::from_sweep("sensitivity", e))?;
             let mut text = String::from("Sensitivity of the 32-GPM (2x-BW) conclusions:\n\n");
 
             let mut t = TextTable::new(["per-GPM constant power", "energy vs 1-GPM", "EDPSE (%)"]);
@@ -586,9 +551,9 @@ fn sensitivity_artifact() -> DynArtifact {
 // Calibration diagnostics
 // ---------------------------------------------------------------------------
 
-fn calibrate_artifact() -> DynArtifact {
+fn calibrate_artifact() -> Artifact {
     let (id, title) = ("calibrate", "Per-workload scaling calibration diagnostics");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -685,9 +650,9 @@ fn calibrate_artifact() -> DynArtifact {
 // Workload characterization
 // ---------------------------------------------------------------------------
 
-fn workload_report_artifact() -> DynArtifact {
+fn workload_report_artifact() -> Artifact {
     let (id, title) = ("workload_report", "Per-workload simulator characterization");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -850,9 +815,9 @@ fn portability_board(label: &str, hw: &VirtualK40, cfg: &FitConfig) -> (String, 
     (text, board)
 }
 
-fn portability_artifact() -> DynArtifact {
+fn portability_artifact() -> Artifact {
     let (id, title) = ("portability", "§IV-B3 portability: fit two virtual boards");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -927,9 +892,9 @@ fn portability_artifact() -> DynArtifact {
 // Reproduction report + composite
 // ---------------------------------------------------------------------------
 
-fn repro_report_artifact(validation_on: bool) -> DynArtifact {
+fn repro_report_artifact(validation_on: bool) -> Artifact {
     let (id, title) = ("repro_report", "Self-checking reproduction verdicts");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: false,
@@ -968,9 +933,9 @@ fn repro_report_artifact(validation_on: bool) -> DynArtifact {
     }
 }
 
-fn all_figures_artifact(validation_on: bool) -> DynArtifact {
+fn all_figures_artifact(validation_on: bool) -> Artifact {
     let (id, title) = ("all_figures", "Every scaling figure and point study");
-    DynArtifact {
+    Artifact {
         id,
         title,
         composite: true,
@@ -1072,48 +1037,45 @@ fn all_figures_artifact(validation_on: bool) -> DynArtifact {
 
 /// The ordered set of every artifact the workspace can reproduce.
 pub struct ArtifactRegistry {
-    artifacts: Vec<Box<dyn Artifact>>,
+    artifacts: Vec<Artifact>,
 }
 
 impl ArtifactRegistry {
     /// The standard registry: every paper figure, table, and study.
     pub fn standard(options: &RegistryOptions) -> Self {
-        let artifacts: Vec<Box<dyn Artifact>> = vec![
-            Box::new(fig2_artifact()),
-            Box::new(fig6_artifact()),
-            Box::new(fig7_artifact()),
-            Box::new(fig8_artifact()),
-            Box::new(fig9_artifact()),
-            Box::new(fig10_artifact()),
-            Box::new(point_studies_artifact()),
-            Box::new(headline_artifact()),
-            Box::new(tables_artifact()),
-            Box::new(table1b_artifact()),
-            Box::new(fig4a_artifact()),
-            Box::new(fig4b_artifact()),
-            Box::new(ablation_artifact()),
-            Box::new(extensions_artifact()),
-            Box::new(sensitivity_artifact()),
-            Box::new(calibrate_artifact()),
-            Box::new(workload_report_artifact()),
-            Box::new(portability_artifact()),
-            Box::new(repro_report_artifact(options.validation)),
-            Box::new(all_figures_artifact(options.validation)),
+        let artifacts = vec![
+            fig2_artifact(),
+            fig6_artifact(),
+            fig7_artifact(),
+            fig8_artifact(),
+            fig9_artifact(),
+            fig10_artifact(),
+            point_studies_artifact(),
+            headline_artifact(),
+            tables_artifact(),
+            table1b_artifact(),
+            fig4a_artifact(),
+            fig4b_artifact(),
+            ablation_artifact(),
+            extensions_artifact(),
+            sensitivity_artifact(),
+            calibrate_artifact(),
+            workload_report_artifact(),
+            portability_artifact(),
+            repro_report_artifact(options.validation),
+            all_figures_artifact(options.validation),
         ];
         ArtifactRegistry { artifacts }
     }
 
     /// Iterates the artifacts in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Artifact> {
-        self.artifacts.iter().map(|a| a.as_ref())
+    pub fn iter(&self) -> impl Iterator<Item = &Artifact> {
+        self.artifacts.iter()
     }
 
     /// Looks an artifact up by id.
-    pub fn get(&self, id: &str) -> Option<&dyn Artifact> {
-        self.artifacts
-            .iter()
-            .find(|a| a.id() == id)
-            .map(|a| a.as_ref())
+    pub fn get(&self, id: &str) -> Option<&Artifact> {
+        self.artifacts.iter().find(|a| a.id() == id)
     }
 
     /// All artifact ids, in registration order.

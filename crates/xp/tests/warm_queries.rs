@@ -6,7 +6,9 @@
 
 use common::proto::QueryRequest;
 use workloads::Scale;
-use xp::{apply_sets, default_suite, ArtifactRegistry, RegistryEngine, RegistryOptions};
+use xp::{
+    apply_sets, default_suite, ArtifactRegistry, Lab, RegistryEngine, RegistryOptions, SweepPlan,
+};
 use xpd::QueryEngine;
 
 fn whatif(artifact: &str, sets: &[(&str, &str)]) -> QueryRequest {
@@ -119,10 +121,10 @@ fn a_fit_artifact_is_not_warm_until_the_fit_exists() {
         .iter()
         .map(|c| apply_sets(c, &owned).unwrap())
         .collect();
-    engine
+    let report = engine
         .lab()
-        .prime_suite(&default_suite(), &configs)
-        .expect("the what-if sweep simulates");
+        .prime_plan(&default_suite(), &SweepPlan::sweep(configs));
+    assert_eq!(report.failures(), 0, "the what-if sweep simulates");
     assert!(!xp::validation::fit_is_cached(Scale::Smoke));
     assert!(
         engine.evaluate_warm(&req).is_none(),
@@ -136,4 +138,43 @@ fn a_fit_artifact_is_not_warm_until_the_fit_exists() {
         .expect("warm once the fit exists");
     assert_eq!(engine.lab().cached_runs(), primed);
     assert_eq!(warm, engine.evaluate(std::slice::from_ref(&req)).remove(0));
+}
+
+#[test]
+fn every_plan_covers_its_body_and_evaluate_primes_once() {
+    // `Artifact::evaluate` is the only prime an artifact gets, so its
+    // plan must name every simulation its body reads: one the plan
+    // missed would be simulated serially, unnoticed, through
+    // `Lab::counts`. A fresh lab per artifact keeps one artifact's
+    // points from covering for another's plan.
+    let suite: Vec<_> = ["Stream", "Hotspot", "Nekbone-12"]
+        .iter()
+        .map(|n| workloads::by_name(n).unwrap())
+        .collect();
+    let registry = ArtifactRegistry::standard(&RegistryOptions { validation: false });
+    let mut checked = 0;
+    for artifact in registry.iter().filter(|a| !a.plan().configs.is_empty()) {
+        let id = artifact.id();
+        let lab = Lab::with_threads(Scale::Smoke, 2);
+        let report = lab.prime_plan(&suite, &artifact.plan());
+        assert_eq!(report.failures(), 0, "{id}: the plan simulates");
+        let primed = lab.cached_runs();
+        let sweeps = lab.sweep_history().len();
+
+        artifact
+            .evaluate(&lab, &suite)
+            .unwrap_or_else(|e| panic!("{id}: {e}"));
+        assert_eq!(
+            lab.cached_runs(),
+            primed,
+            "{id}: the body read a simulation its plan does not name"
+        );
+        assert_eq!(
+            lab.sweep_history().len(),
+            sweeps + 1,
+            "{id}: evaluate must prime exactly once (its own plan)"
+        );
+        checked += 1;
+    }
+    assert!(checked >= 10, "only {checked} artifacts sweep");
 }
