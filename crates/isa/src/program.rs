@@ -171,10 +171,11 @@ where
 /// Instructions decoded per [`PredecodedStream`] refill window.
 ///
 /// Large enough that the one virtual [`WarpStream::fill`] call per
-/// window is noise in the issue loop, small enough that a 32-GPM
-/// machine full of resident warps still runs in constant memory (the
-/// property the procedural-stream design exists for).
-pub const PREDECODE_WINDOW: usize = 64;
+/// window is noise in the issue loop, small enough that a live warp's
+/// window (256 B) stays cheap to touch after the warp slept and a
+/// 32-GPM machine full of resident warps still runs in constant memory
+/// (the property the procedural-stream design exists for).
+pub const PREDECODE_WINDOW: usize = 16;
 
 /// A pre-decoded, flat view of one warp's [`WarpInstrStream`].
 ///

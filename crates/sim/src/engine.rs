@@ -163,6 +163,9 @@ impl CtaPartition {
 /// * `cta_free` (+ per-SM `cta_free_cnt`) — free resident-CTA slots;
 ///   `first_set_in` over the SM's sub-range is the old find-first-free
 ///   scan.
+/// * `wheels` + `buckets` — under the event loop, each SM's ready mask
+///   over `order` positions and the timing wheel that keeps it
+///   ([`SmWheel`]); the naive reference scans instead.
 ///
 /// A warp's in-flight loads live in a fixed-capacity inline ring:
 /// `mlp_cap` contiguous entries of `out_times` per slot, with the live
@@ -185,11 +188,9 @@ struct WarpPool {
     mlp_cap: usize,
 
     // ---- Warp columns, global index g = flat * stride + s ----
-    /// Pre-decoded instruction stream per warp slot.
+    /// Pre-decoded instruction stream per warp slot; `current()` is the
+    /// warp's next instruction (`None` once exhausted).
     streams: Vec<PredecodedStream>,
-    /// The warp's next instruction (the old `pending: Option<WarpInstr>`),
-    /// cached inline so the issue scan never touches the decode window.
-    pending: Vec<Option<WarpInstr>>,
     /// Cycle the warp can next issue (or finishes draining).
     ready_at: Vec<u64>,
     /// Launch order on this SM (for greedy-then-oldest scheduling).
@@ -233,6 +234,221 @@ struct WarpPool {
     /// Resident-CTA slots with no live warps.
     cta_free: BitWords,
     cta_free_cnt: Vec<u32>,
+
+    // ---- Ready masks (event loop, at most 64 slots per SM) ----
+    /// Whether this kernel's SMs keep a [`SmWheel`] (see
+    /// [`WarpPool::reset_wheels`]); the naive reference never does.
+    masked: bool,
+    /// One ready mask and timing wheel per SM.
+    wheels: Vec<SmWheel>,
+    /// Every SM's wheel buckets, bucket-major (see [`SmBuckets`]).
+    buckets: Vec<u64>,
+}
+
+/// Timing-wheel horizon in cycles: a ready time less than `WHEEL`
+/// cycles past an SM's last step sits in a bucket, a later one in the
+/// far mask.
+const WHEEL: u64 = 64;
+
+/// One SM's wheel buckets: position masks indexed by `ready_at % WHEEL`,
+/// a column of the pool's bucket table. The table is bucket-major
+/// (`b * sms + flat`): the event loop walks SMs in ascending order, and
+/// SMs running in step drain and fill the same buckets, so their words
+/// share cache lines.
+struct SmBuckets<'a> {
+    table: &'a mut [u64],
+    flat: usize,
+}
+
+impl<'a> SmBuckets<'a> {
+    fn new(table: &'a mut [u64], flat: usize) -> Self {
+        SmBuckets { table, flat }
+    }
+
+    #[inline]
+    fn word(&mut self, b: usize) -> &mut u64 {
+        let sms = self.table.len() / WHEEL as usize;
+        &mut self.table[b * sms + self.flat]
+    }
+}
+
+/// One SM's ready mask and the timing wheel that feeds it, over warp
+/// *positions* (indices into the SM's `order` slab, hence at most 64).
+///
+/// Every live position's bit sits in exactly one word, chosen by its
+/// warp's `ready_at` relative to `base`, the cycle of the SM's last
+/// step: `ready` when `ready_at <= base`; bucket `ready_at % WHEEL`
+/// when `ready_at - base < WHEEL`; `far` beyond the horizon. Stepping
+/// the SM at `now` first drains the buckets (and, when `far_min` comes
+/// within the horizon, refiles `far`) so that `ready` is exactly the
+/// set of warps the reference scan finds ready. Debug builds check
+/// this against the scan at every step.
+///
+/// The step works on a copy held in registers and writes it back at
+/// the end; a bit's location is a function of `ready_at` alone, so a
+/// bit is removed or moved without searching.
+#[derive(Debug, Clone, Copy)]
+struct SmWheel {
+    base: u64,
+    ready: u64,
+    /// Bucket occupancy: bit `b` set ⇔ bucket `b` is non-empty.
+    occ: u64,
+    far: u64,
+    /// Exact minimum `ready_at` over `far` (`u64::MAX` when empty):
+    /// the wake time of an SM whose buckets are empty.
+    far_min: u64,
+}
+
+impl SmWheel {
+    fn new(base: u64) -> Self {
+        SmWheel {
+            base,
+            ready: 0,
+            occ: 0,
+            far: 0,
+            far_min: u64::MAX,
+        }
+    }
+
+    /// Files position `p`, ready at `ra`, into the word its time
+    /// selects. The bit must be absent from every word.
+    #[inline]
+    fn arm(&mut self, buckets: &mut SmBuckets<'_>, p: usize, ra: u64) {
+        let bit = 1u64 << p;
+        if ra <= self.base {
+            self.ready |= bit;
+        } else if ra - self.base < WHEEL {
+            let b = (ra % WHEEL) as usize;
+            *buckets.word(b) |= bit;
+            self.occ |= 1 << b;
+        } else {
+            self.far |= bit;
+            self.far_min = self.far_min.min(ra);
+        }
+    }
+
+    /// Removes position `p`, ready at `ra`, from its word. Removing the
+    /// far minimum rescans `far` through `ready_at_of` (position →
+    /// `ready_at`) for the next one; returns whether it did.
+    fn disarm(
+        &mut self,
+        buckets: &mut SmBuckets<'_>,
+        p: usize,
+        ra: u64,
+        ready_at_of: impl Fn(usize) -> u64,
+    ) -> bool {
+        let bit = 1u64 << p;
+        if ra <= self.base {
+            self.ready &= !bit;
+        } else if ra - self.base < WHEEL {
+            let b = (ra % WHEEL) as usize;
+            let word = buckets.word(b);
+            *word &= !bit;
+            if *word == 0 {
+                self.occ &= !(1 << b);
+            }
+        } else {
+            self.far &= !bit;
+            if ra == self.far_min {
+                let mut far = self.far;
+                let mut m = u64::MAX;
+                while far != 0 {
+                    let q = far.trailing_zeros() as usize;
+                    far &= far - 1;
+                    m = m.min(ready_at_of(q));
+                }
+                self.far_min = m;
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Moves the bit of position `from` (ready at `ra`) to the empty
+    /// position `to` within its word: retire's `swap_remove`.
+    fn move_bit(&mut self, buckets: &mut SmBuckets<'_>, from: usize, to: usize, ra: u64) {
+        let word = if ra <= self.base {
+            &mut self.ready
+        } else if ra - self.base < WHEEL {
+            buckets.word((ra % WHEEL) as usize)
+        } else {
+            &mut self.far
+        };
+        debug_assert!(*word & (1 << from) != 0 && *word & (1 << to) == 0);
+        *word = (*word & !(1 << from)) | (1 << to);
+    }
+
+    /// Advances the wheel to `now`: every bucket due by `now` empties
+    /// into the ready mask, and once the far minimum has come within
+    /// the horizon the far mask is refiled through `ready_at_of`.
+    /// Returns whether it was.
+    fn drain(
+        &mut self,
+        buckets: &mut SmBuckets<'_>,
+        now: u64,
+        ready_at_of: impl Fn(usize) -> u64,
+    ) -> bool {
+        if now == self.base {
+            return false;
+        }
+        debug_assert!(now > self.base);
+        if self.occ != 0 {
+            // Buckets hold times base+1 ..= base+WHEEL-1, so a gap of
+            // WHEEL-1 or more makes every bucket due.
+            let d = now - self.base;
+            let due = if d >= WHEEL - 1 {
+                self.occ
+            } else {
+                ((1u64 << d) - 1).rotate_left(((self.base + 1) % WHEEL) as u32) & self.occ
+            };
+            let mut m = due;
+            while m != 0 {
+                let b = m.trailing_zeros() as usize;
+                m &= m - 1;
+                let word = buckets.word(b);
+                self.ready |= *word;
+                *word = 0;
+            }
+            self.occ &= !due;
+        }
+        self.base = now;
+        if self.far != 0 && self.far_min < now + WHEEL {
+            let mut far = self.far;
+            self.far = 0;
+            self.far_min = u64::MAX;
+            while far != 0 {
+                let p = far.trailing_zeros() as usize;
+                far &= far - 1;
+                self.arm(buckets, p, ready_at_of(p));
+            }
+            return true;
+        }
+        false
+    }
+
+    /// The SM's next service time after a step at `now`: `now + 1`
+    /// while a ready warp is left, else the earliest occupied bucket,
+    /// else the far minimum (`u64::MAX` with no live warps). This is
+    /// exactly `WarpPool::next_ready` clamped to `now + 1`.
+    fn wake(&self, now: u64) -> u64 {
+        debug_assert_eq!(self.base, now);
+        if self.ready != 0 {
+            now + 1
+        } else if self.occ != 0 {
+            now + u64::from(self.occ.rotate_right((now % WHEEL) as u32).trailing_zeros())
+        } else {
+            self.far_min
+        }
+    }
+}
+
+/// Positions `lo..hi` as a mask (`hi <= 64`).
+fn position_range(lo: usize, hi: usize) -> u64 {
+    if hi <= lo {
+        0
+    } else {
+        (u64::MAX >> (64 - (hi - lo))) << lo
+    }
 }
 
 impl WarpPool {
@@ -258,8 +474,6 @@ impl WarpPool {
                 pd.release();
             }
             self.streams.resize_with(slots, PredecodedStream::new);
-            self.pending.clear();
-            self.pending.resize(slots, None);
             self.ready_at.clear();
             self.ready_at.resize(slots, 0);
             self.age.clear();
@@ -346,7 +560,6 @@ impl WarpPool {
             return false;
         }
         self.free_len[flat] = (fl - 1) as u32;
-        self.pending[g] = self.streams[g].current();
         self.ready_at[g] = now;
         let a = self.next_age[flat];
         self.age[g] = a;
@@ -394,7 +607,6 @@ impl WarpPool {
         self.exhausted.unset(g);
         self.exhausted_cnt[flat] -= 1;
         self.streams[g].release();
-        self.pending[g] = None;
         let fl = self.free_len[flat] as usize;
         self.free[wbase + fl] = s;
         self.free_len[flat] = (fl + 1) as u32;
@@ -481,6 +693,97 @@ impl WarpPool {
             m = m.min(self.ready_at[wbase + s as usize]);
         }
         m
+    }
+
+    /// Arms (or disarms) the per-SM ready masks for a kernel starting
+    /// at cycle `start`. Every kernel retires all its warps, which
+    /// clears every bit, so the buckets carry over empty.
+    fn reset_wheels(&mut self, masked: bool, start: u64) {
+        self.masked = masked;
+        self.wheels.clear();
+        if !masked {
+            return;
+        }
+        self.wheels.resize(self.total_sms, SmWheel::new(start));
+        let words = self.total_sms * WHEEL as usize;
+        if self.buckets.len() != words {
+            self.buckets.clear();
+            self.buckets.resize(words, 0);
+        }
+        debug_assert!(
+            self.buckets.iter().all(|&b| b == 0),
+            "wheel reused non-empty"
+        );
+    }
+
+    /// Advances SM `flat`'s wheel `w` to `now` (see [`SmWheel::drain`]).
+    fn drain(&mut self, w: &mut SmWheel, flat: usize, now: u64, work: &mut WorkStats) {
+        let wbase = flat * self.stride;
+        let (order, ready_at) = (&self.order, &self.ready_at);
+        if w.drain(&mut SmBuckets::new(&mut self.buckets, flat), now, |p| {
+            ready_at[wbase + order[wbase + p] as usize]
+        }) {
+            work.far_rescans += 1;
+        }
+    }
+
+    /// Removes position `p` of SM `flat`, ready at `ra`, from its wheel
+    /// `w` (see [`SmWheel::disarm`]).
+    fn disarm(&mut self, w: &mut SmWheel, flat: usize, p: usize, ra: u64, work: &mut WorkStats) {
+        let wbase = flat * self.stride;
+        let (order, ready_at) = (&self.order, &self.ready_at);
+        if w.disarm(&mut SmBuckets::new(&mut self.buckets, flat), p, ra, |q| {
+            ready_at[wbase + order[wbase + q] as usize]
+        }) {
+            work.far_rescans += 1;
+        }
+    }
+
+    /// Position of live slot `s` in SM `flat`'s order, if it is live.
+    fn position_of(&self, flat: usize, s: u32) -> Option<usize> {
+        let wbase = flat * self.stride;
+        let n = self.order_len[flat] as usize;
+        self.order[wbase..wbase + n].iter().position(|&o| o == s)
+    }
+
+    /// Debug-build check that SM `flat`'s wheel `w` files every live
+    /// warp exactly where its `ready_at` says — so `w.ready` equals the
+    /// reference readiness scan — with exact occupancy and far minimum.
+    #[cfg(debug_assertions)]
+    fn debug_check_wheel(&self, flat: usize, w: &SmWheel) {
+        let wbase = flat * self.stride;
+        let n = self.order_len[flat] as usize;
+        let (mut ready, mut far, mut far_min) = (0u64, 0u64, u64::MAX);
+        let mut buckets = [0u64; WHEEL as usize];
+        for p in 0..n {
+            let ra = self.ready_at[wbase + self.order[wbase + p] as usize];
+            if ra <= w.base {
+                ready |= 1 << p;
+            } else if ra - w.base < WHEEL {
+                buckets[(ra % WHEEL) as usize] |= 1 << p;
+            } else {
+                far |= 1 << p;
+                far_min = far_min.min(ra);
+            }
+        }
+        assert_eq!(
+            w.ready, ready,
+            "ready mask diverged from the readiness scan"
+        );
+        assert_eq!(w.far, far, "far mask diverged from the readiness scan");
+        assert_eq!(w.far_min, far_min, "far minimum is not exact");
+        for (b, &word) in buckets.iter().enumerate() {
+            assert_eq!(
+                self.buckets[b * self.total_sms + flat],
+                word,
+                "wheel bucket {b} diverged"
+            );
+        }
+        let occ = buckets
+            .iter()
+            .enumerate()
+            .fold(0u64, |o, (b, &word)| o | u64::from(word != 0) << b);
+        assert_eq!(w.occ, occ, "bucket occupancy diverged");
     }
 }
 
@@ -585,6 +888,61 @@ pub struct SoaStats {
     pub mask_scans: u64,
     /// Retire scans skipped because the exhausted mask was empty.
     pub retire_scans_skipped: u64,
+}
+
+/// Engine work counters for one kernel: how many warps the issue and
+/// retire paths touched. Accumulated across kernels by [`GpuSim`] and
+/// exported per kernel as the `sim.issue.*`, `sim.retire.checks`,
+/// `sim.cta.refills` and `sim.wheel.far_rescans` trace counters, under
+/// every loop kind (the naive reference included), so
+/// `sim.ns_per_instr` splits into work per instruction times cost per
+/// unit of work.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkStats {
+    /// SM steps, through the ready mask or the reference scan.
+    pub steps: u64,
+    /// Warps the issue path considered: every resident warp under the
+    /// reference scan (each list entry walked under GTO), only the
+    /// ready ones under the ready mask.
+    pub warps_examined: u64,
+    /// Scheduler polls of ready warps.
+    pub polls: u64,
+    /// Polls that issued an instruction.
+    pub issued: u64,
+    /// Polls of a load stalled at the per-warp MLP limit.
+    pub mlp_stalls: u64,
+    /// Exhausted warps the retire path checked for retirement.
+    pub retire_checks: u64,
+    /// CTAs launched onto an SM.
+    pub cta_refills: u64,
+    /// Far-mask rescans of the ready-mask timing wheel (zero under the
+    /// reference scan).
+    pub far_rescans: u64,
+}
+
+impl WorkStats {
+    pub(crate) fn add(&mut self, o: &WorkStats) {
+        self.steps += o.steps;
+        self.warps_examined += o.warps_examined;
+        self.polls += o.polls;
+        self.issued += o.issued;
+        self.mlp_stalls += o.mlp_stalls;
+        self.retire_checks += o.retire_checks;
+        self.cta_refills += o.cta_refills;
+        self.far_rescans += o.far_rescans;
+    }
+
+    /// Exports these per-kernel counts to the trace layer.
+    fn export(&self) {
+        trace::count("sim.issue.steps", self.steps);
+        trace::count("sim.issue.warps_examined", self.warps_examined);
+        trace::count("sim.issue.polls", self.polls);
+        trace::count("sim.issue.issued", self.issued);
+        trace::count("sim.issue.mlp_stalls", self.mlp_stalls);
+        trace::count("sim.retire.checks", self.retire_checks);
+        trace::count("sim.cta.refills", self.cta_refills);
+        trace::count("sim.wheel.far_rescans", self.far_rescans);
+    }
 }
 
 /// Event-loop bookkeeping for one contiguous run of SMs — the whole GPU
@@ -763,24 +1121,43 @@ pub(crate) fn merge_deferred(
             (flat_global - gpm * ctx.sms_per_gpm) as u16,
         );
         let out = mem.access(sm_id, acc.mref, now);
+        let pool = &mut st.pool;
+        let old = pool.ready_at[g];
+        let mut ra = old;
         if !acc.mref.is_store {
-            st.pool.ring_replace_placeholder(g, out.completion);
-        } else if out.blocking && !st.pool.exhausted.get(g) {
+            pool.ring_replace_placeholder(g, out.completion);
+        } else if out.blocking && !pool.exhausted.get(g) {
             // Write-buffer backpressure, exactly where the direct path
             // applies it. An exhausted warp discards it in favor of its
             // drain time (below), as the direct path's ring_max
             // overwrite does; a warp that already retired this cycle
             // (store with no loads in flight) has a freed slot whose
             // `ready_at` the next allocation resets.
-            st.pool.ready_at[g] = out.completion;
+            ra = out.completion;
         }
-        if st.pool.exhausted.get(g) {
-            st.pool.ready_at[g] = st.pool.ring_max(g).unwrap_or(now + 1);
+        if pool.exhausted.get(g) {
+            ra = pool.ring_max(g).unwrap_or(now + 1);
         }
-        // The shard's folded wake time saw placeholders; recompute it
-        // exactly for still-live SMs.
+        pool.ready_at[g] = ra;
+        // Re-arm a live warp whose ready time moved (a freed slot has
+        // no position and no wheel bit).
+        if pool.masked && ra != old {
+            let s = (g - flat * pool.stride) as u32;
+            if let Some(p) = pool.position_of(flat, s) {
+                let mut w = pool.wheels[flat];
+                pool.disarm(&mut w, flat, p, old, &mut st.work);
+                w.arm(&mut SmBuckets::new(&mut pool.buckets, flat), p, ra);
+                pool.wheels[flat] = w;
+            }
+        }
+        // The shard's wake time saw placeholders; recompute it exactly
+        // for still-live SMs.
         if els.live_mask.get(flat) {
-            els.ready_wake[flat] = st.pool.next_ready(flat);
+            els.ready_wake[flat] = if pool.masked {
+                pool.wheels[flat].wake(now)
+            } else {
+                pool.next_ready(flat)
+            };
         }
     }
     merged
@@ -843,6 +1220,8 @@ pub(crate) struct KernelState {
     gpm_issued: Vec<usize>,
     pub(crate) counts: EventCounts,
     pub(crate) done_ctas: u32,
+    /// Engine work counters for this kernel.
+    pub(crate) work: WorkStats,
     /// Global flat index of this state's first SM. Always a multiple of
     /// `sms_per_gpm` (shards own whole GPMs).
     sm_base: usize,
@@ -851,27 +1230,27 @@ pub(crate) struct KernelState {
 }
 
 /// Builds the shard-local [`KernelState`] for GPMs `gpm_lo..gpm_hi`
-/// with a freshly shaped warp pool. Slot ids are unobservable (see
-/// [`WarpPool`]), so a fresh pool per shard cannot perturb results.
+/// with a freshly shaped warp pool (ready masks armed at `start`).
+/// Slot ids are unobservable (see [`WarpPool`]), so a fresh pool per
+/// shard cannot perturb results.
 pub(crate) fn shard_state(
     ctx: &KernelCtx<'_>,
     max_ctas_per_sm: usize,
     gpm_lo: usize,
     gpm_hi: usize,
+    start: u64,
 ) -> KernelState {
     let shard_sms = (gpm_hi - gpm_lo) * ctx.sms_per_gpm;
+    let stride = max_ctas_per_sm * ctx.warps_per_cta;
     let mut pool = WarpPool::default();
-    pool.reset(
-        shard_sms,
-        max_ctas_per_sm * ctx.warps_per_cta,
-        max_ctas_per_sm,
-        ctx.mlp_per_warp.max(1),
-    );
+    pool.reset(shard_sms, stride, max_ctas_per_sm, ctx.mlp_per_warp.max(1));
+    pool.reset_wheels(stride <= 64, start);
     KernelState {
         pool,
         gpm_issued: vec![0; gpm_hi - gpm_lo],
         counts: EventCounts::new(),
         done_ctas: 0,
+        work: WorkStats::default(),
         sm_base: gpm_lo * ctx.sms_per_gpm,
         gpm_base: gpm_lo,
     }
@@ -905,9 +1284,12 @@ pub(crate) struct SmStep {
     /// Post-step: the SM has a free resident-CTA slot.
     free_slot: bool,
     /// Post-step: earliest cycle at which a live warp needs service
-    /// (`u64::MAX` when none). May be conservatively early — an extra
-    /// zero-issue visit charges exactly like the naive loop's — but is
-    /// never later than the true next event.
+    /// (`u64::MAX` when none) — `next_ready` of the post-step state,
+    /// where any value up to `now + 1` means "next visited cycle". It
+    /// must be exact. A late wake jumps over a ready warp; an early one
+    /// adds a visited cycle the naive loop never visits, which advances
+    /// round-robin pointers and refills CTAs there and so changes the
+    /// simulation. Debug builds assert it at every step.
     wake: u64,
 }
 
@@ -950,6 +1332,7 @@ pub struct GpuSim {
     mode: EngineMode,
     ff: FastForwardStats,
     soa: SoaStats,
+    work: WorkStats,
     par: crate::par::ParStats,
     /// Worker-thread budget for [`EngineMode::Parallel`]; `None` defers
     /// to `MMGPU_SIM_THREADS` / the machine's available parallelism.
@@ -973,6 +1356,7 @@ impl GpuSim {
             mode,
             ff: FastForwardStats::default(),
             soa: SoaStats::default(),
+            work: WorkStats::default(),
             par: crate::par::ParStats::default(),
             sim_threads: None,
             scratch: EngineScratch::default(),
@@ -1004,6 +1388,12 @@ impl GpuSim {
     /// far (bitmask scans, skipped retire passes).
     pub fn soa_stats(&self) -> SoaStats {
         self.soa
+    }
+
+    /// Engine work counters accumulated over every kernel run so far
+    /// (steps, warps examined, polls, retire checks, refills).
+    pub fn work_stats(&self) -> WorkStats {
+        self.work
     }
 
     /// Parallel-engine counters accumulated over every kernel run so
@@ -1050,6 +1440,7 @@ impl GpuSim {
             mode: EngineMode::Naive,
             ff: FastForwardStats::default(),
             soa: SoaStats::default(),
+            work: WorkStats::default(),
             par: crate::par::ParStats::default(),
             sim_threads: self.sim_threads,
             scratch: EngineScratch::default(),
@@ -1122,6 +1513,7 @@ impl GpuSim {
         // The parallel engine runs on shard-local state; it falls back
         // to the serial event loop (identical results) when the shard
         // worker pool is held by another simulation in this process.
+        let mut work = WorkStats::default();
         let sharded = if kind == LoopKind::Parallel {
             let threads = self.resolved_threads();
             let out = crate::par::run_shards(
@@ -1129,6 +1521,7 @@ impl GpuSim {
                 &mut self.par,
                 &mut self.ff,
                 &mut self.soa,
+                &mut work,
                 &ctx,
                 max_ctas_per_sm,
                 threads,
@@ -1149,12 +1542,12 @@ impl GpuSim {
                 // take the warp-state columns out of the scratch pool,
                 // reset them in place, and return them at kernel end.
                 let mut pool = std::mem::take(&mut self.scratch.pool);
-                pool.reset(
-                    total_sms,
-                    max_ctas_per_sm * warps_per_cta,
-                    max_ctas_per_sm,
-                    ctx.mlp_per_warp.max(1),
-                );
+                let stride = max_ctas_per_sm * warps_per_cta;
+                pool.reset(total_sms, stride, max_ctas_per_sm, ctx.mlp_per_warp.max(1));
+                // The event loop steps through ready masks when an SM's
+                // positions fit one word; the naive loop is the
+                // reference scan.
+                pool.reset_wheels(kind != LoopKind::Naive && stride <= 64, start);
                 let mut gpm_issued = std::mem::take(&mut self.scratch.gpm_issued);
                 gpm_issued.clear();
                 gpm_issued.resize(num_gpms, 0);
@@ -1163,6 +1556,7 @@ impl GpuSim {
                     gpm_issued,
                     counts: EventCounts::new(),
                     done_ctas: 0,
+                    work: WorkStats::default(),
                     sm_base: 0,
                     gpm_base: 0,
                 };
@@ -1173,10 +1567,13 @@ impl GpuSim {
                 };
                 self.scratch.pool = std::mem::take(&mut st.pool);
                 self.scratch.gpm_issued = std::mem::take(&mut st.gpm_issued);
+                work = st.work;
                 (now, st.counts, st.done_ctas)
             }
         };
 
+        self.work.add(&work);
+        work.export();
         if kind != LoopKind::Naive {
             let d = self.ff;
             trace::count("sim.ff.jumps", d.jumps - ff_before.jumps);
@@ -1250,10 +1647,15 @@ impl GpuSim {
     }
 
     /// One scheduler poll of a warp slot `g` (already known ready) on
-    /// SM `flat`: either issues the pending instruction (returns
+    /// SM `flat`: either issues the warp's current instruction (returns
     /// `true`) or makes the bookkeeping-only transition the historical
     /// poll made — the MLP-limit stall re-arm, or the exhausted-stream
-    /// skip (`false`).
+    /// skip (`false`). Counts the poll and its outcome in `work`.
+    ///
+    /// The in-flight ring is retained (landed loads dropped) only where
+    /// its contents decide something: at the MLP limit and at stream
+    /// exhaustion (the retire paths retain as well), so `ring_min` and
+    /// `ring_max` are always read over exact rings.
     ///
     /// An associated function over split borrows so both scheduler scan
     /// shapes share it without aliasing `KernelState`. Memory traffic
@@ -1266,6 +1668,7 @@ impl GpuSim {
     fn poll_issue(
         pool: &mut WarpPool,
         counts: &mut EventCounts,
+        work: &mut WorkStats,
         sink: &mut MemSink<'_>,
         ctx: &KernelCtx,
         sm_id: SmId,
@@ -1273,18 +1676,23 @@ impl GpuSim {
         g: usize,
         now: u64,
     ) -> bool {
-        let Some(instr) = pool.pending[g] else {
+        work.polls += 1;
+        let Some(instr) = pool.streams[g].current() else {
             return false;
         };
         // Loads are pipelined per warp up to the MLP limit; a warp at
         // the limit stalls until one of its loads returns.
-        if matches!(instr, WarpInstr::Mem(m) if !m.is_store) {
+        if matches!(instr, WarpInstr::Mem(m) if !m.is_store)
+            && pool.out_len[g] as usize >= ctx.mlp_per_warp
+        {
             pool.ring_retain(g, now);
             if pool.out_len[g] as usize >= ctx.mlp_per_warp {
                 pool.ready_at[g] = pool.ring_min(g).unwrap_or(now + 1);
+                work.mlp_stalls += 1;
                 return false;
             }
         }
+        work.issued += 1;
         match instr {
             WarpInstr::Compute(op) => {
                 counts.instrs.add(op, WARP_SIZE as u64);
@@ -1319,10 +1727,10 @@ impl GpuSim {
             },
         }
         pool.streams[g].advance();
-        pool.pending[g] = pool.streams[g].current();
-        if pool.pending[g].is_none() {
+        if pool.streams[g].current().is_none() {
             // Stream exhausted: the warp drains its outstanding loads
             // and retires in a later cleanup pass.
+            pool.ring_retain(g, now);
             pool.ready_at[g] = pool.ring_max(g).unwrap_or(now + 1);
             pool.exhausted.set(g);
             pool.exhausted_cnt[flat] += 1;
@@ -1330,43 +1738,43 @@ impl GpuSim {
         true
     }
 
-    /// Processes one SM for one visited cycle: refill at most one CTA,
-    /// issue up to `issue_width` instructions, retire drained warps.
-    /// Accounting is left to the caller (the two loops charge visited
-    /// and slept cycles differently, but through the same rates).
-    ///
-    /// `flat` is local to `st`; `st.sm_base`/`st.gpm_base` translate to
-    /// global SM/GPM ids so CTA partitioning and NoC addressing are
-    /// identical whether `st` spans the whole GPU (serial loops) or one
-    /// shard's GPM range (parallel engine).
-    pub(crate) fn step_sm(
-        ctx: &KernelCtx,
-        st: &mut KernelState,
-        sink: &mut MemSink<'_>,
-        soa: &mut SoaStats,
-        flat: usize,
-        now: u64,
-    ) -> SmStep {
+    /// SM `flat`'s global id, plus its module's global index and its
+    /// index local to `st`. `flat` is local to `st`;
+    /// `st.sm_base`/`st.gpm_base` translate to global SM/GPM ids so CTA
+    /// partitioning and NoC addressing are identical whether `st` spans
+    /// the whole GPU (serial loops) or one shard's GPM range (parallel
+    /// engine).
+    fn sm_coords(ctx: &KernelCtx, st: &KernelState, flat: usize) -> (SmId, usize, usize) {
         let flat_global = st.sm_base + flat;
         let gpm = flat_global / ctx.sms_per_gpm;
         let sm_id = SmId::new(
             GpmId::new(gpm as u16),
             (flat_global - gpm * ctx.sms_per_gpm) as u16,
         );
-        let gpm_local = gpm - st.gpm_base;
-        let issue_width = ctx.issue_width;
-        let pool = &mut st.pool;
-        let wbase = flat * pool.stride;
+        (sm_id, gpm, gpm - st.gpm_base)
+    }
 
-        // Refill at most one CTA per SM per cycle (breadth-first across
-        // the module's SMs, like a hardware CTA scheduler; filling one
-        // SM's slots greedily would cluster small grids onto SM0).
-        // `cta_next` doubles as the post-step `cta_pending` answer: it
-        // is re-read only when this step consumed a CTA.
+    /// Refills at most one CTA onto SM `flat` per cycle (breadth-first
+    /// across the module's SMs, like a hardware CTA scheduler; filling
+    /// one SM's slots greedily would cluster small grids onto SM0). Its
+    /// warps append to the SM's order, ready at `now`. Returns the
+    /// module's next unassigned CTA — the post-step `cta_pending`
+    /// answer, re-read only when this step consumed a CTA.
+    fn refill_cta(
+        ctx: &KernelCtx,
+        st: &mut KernelState,
+        soa: &mut SoaStats,
+        flat: usize,
+        gpm: usize,
+        gpm_local: usize,
+        now: u64,
+    ) -> Option<usize> {
+        let pool = &mut st.pool;
         let mut cta_next = ctx.partition.nth_for(gpm, st.gpm_issued[gpm_local]);
         if let Some(cta) = cta_next {
             soa.mask_scans += 1;
             if let Some(slot_idx) = pool.cta_first_free(flat) {
+                st.work.cta_refills += 1;
                 st.gpm_issued[gpm_local] += 1;
                 cta_next = ctx.partition.nth_for(gpm, st.gpm_issued[gpm_local]);
                 let cslot = flat * pool.cta_stride + slot_idx;
@@ -1394,6 +1802,49 @@ impl GpuSim {
                 }
             }
         }
+        cta_next
+    }
+
+    /// Processes one SM for one visited cycle of the event loop (or a
+    /// parallel shard): through its ready mask when the kernel keeps
+    /// one ([`WarpPool::reset_wheels`]), else through the reference
+    /// scan.
+    pub(crate) fn step_sm(
+        ctx: &KernelCtx,
+        st: &mut KernelState,
+        sink: &mut MemSink<'_>,
+        soa: &mut SoaStats,
+        flat: usize,
+        now: u64,
+    ) -> SmStep {
+        if st.pool.masked {
+            Self::step_sm_ready(ctx, st, sink, soa, flat, now)
+        } else {
+            Self::step_sm_scan(ctx, st, sink, soa, flat, now)
+        }
+    }
+
+    /// The reference SM step: refill at most one CTA, issue up to
+    /// `issue_width` instructions, retire drained warps, finding ready
+    /// and exhausted warps by scanning every resident warp. The naive
+    /// loop always runs this, so [`EngineMode::Shadow`] checks the
+    /// ready-mask step against it. Accounting is left to the caller
+    /// (the two loops charge visited and slept cycles differently, but
+    /// through the same rates).
+    fn step_sm_scan(
+        ctx: &KernelCtx,
+        st: &mut KernelState,
+        sink: &mut MemSink<'_>,
+        soa: &mut SoaStats,
+        flat: usize,
+        now: u64,
+    ) -> SmStep {
+        let (sm_id, gpm, gpm_local) = Self::sm_coords(ctx, st, flat);
+        st.work.steps += 1;
+        let cta_next = Self::refill_cta(ctx, st, soa, flat, gpm, gpm_local, now);
+        let issue_width = ctx.issue_width;
+        let pool = &mut st.pool;
+        let wbase = flat * pool.stride;
 
         // Issue up to issue_width instructions, in policy order: loose
         // round robin rotates through the physical order; greedy-then-
@@ -1428,6 +1879,7 @@ impl GpuSim {
                 // the historical poll-every-warp loop used. Warps that
                 // are not ready are pure no-op polls in that loop, so
                 // never visiting them is unobservable.
+                st.work.warps_examined += n as u64;
                 let mut posmask: u64 = 0;
                 for p in 0..n {
                     let s = pool.order[wbase + p] as usize;
@@ -1459,7 +1911,17 @@ impl GpuSim {
                     };
                     let s = pool.order[wbase + p];
                     let g = wbase + s as usize;
-                    if Self::poll_issue(pool, &mut st.counts, sink, ctx, sm_id, flat, g, now) {
+                    if Self::poll_issue(
+                        pool,
+                        &mut st.counts,
+                        &mut st.work,
+                        sink,
+                        ctx,
+                        sm_id,
+                        flat,
+                        g,
+                        now,
+                    ) {
                         if first_issued_slot == NONE {
                             first_issued_slot = s;
                         }
@@ -1512,10 +1974,21 @@ impl GpuSim {
                         i
                     };
                     let g = wbase + i;
+                    st.work.warps_examined += 1;
                     if pool.ready_at[g] > now {
                         continue;
                     }
-                    if Self::poll_issue(pool, &mut st.counts, sink, ctx, sm_id, flat, g, now) {
+                    if Self::poll_issue(
+                        pool,
+                        &mut st.counts,
+                        &mut st.work,
+                        sink,
+                        ctx,
+                        sm_id,
+                        flat,
+                        g,
+                        now,
+                    ) {
                         if first_issued_slot == NONE {
                             first_issued_slot = i as u32;
                         }
@@ -1549,6 +2022,7 @@ impl GpuSim {
             while wi < len {
                 let s = pool.order[wbase + wi];
                 let g = wbase + s as usize;
+                st.work.retire_checks += 1;
                 if pool.exhausted.get(g) {
                     pool.ring_retain(g, now);
                     if pool.out_len[g] == 0 {
@@ -1574,16 +2048,249 @@ impl GpuSim {
             soa.retire_scans_skipped += 1;
         }
 
+        let wake = if wake_rescan {
+            pool.next_ready(flat)
+        } else {
+            wake
+        };
+        debug_assert_eq!(
+            wake.max(now + 1),
+            pool.next_ready(flat).max(now + 1),
+            "SM {flat}: folded wake is not exact"
+        );
         SmStep {
             issued,
             resident: pool.resident(flat),
             cta_pending: cta_next.is_some(),
             free_slot: pool.cta_free_cnt[flat] > 0,
-            wake: if wake_rescan {
-                pool.next_ready(flat)
+            wake,
+        }
+    }
+
+    /// Polls the ready warp at position `p` (slot `s`) of SM `flat`
+    /// through [`GpuSim::poll_issue`], lifting its bit out of the ready
+    /// mask first and re-arming it at the poll's new `ready_at` after.
+    #[allow(clippy::too_many_arguments)]
+    fn poll_position(
+        pool: &mut WarpPool,
+        w: &mut SmWheel,
+        counts: &mut EventCounts,
+        work: &mut WorkStats,
+        sink: &mut MemSink<'_>,
+        ctx: &KernelCtx,
+        sm_id: SmId,
+        flat: usize,
+        p: usize,
+        s: u32,
+        now: u64,
+    ) -> bool {
+        let g = flat * pool.stride + s as usize;
+        w.ready &= !(1 << p);
+        let issued = Self::poll_issue(pool, counts, work, sink, ctx, sm_id, flat, g, now);
+        w.arm(
+            &mut SmBuckets::new(&mut pool.buckets, flat),
+            p,
+            pool.ready_at[g],
+        );
+        issued
+    }
+
+    /// The event loop's SM step: the same transitions as
+    /// [`GpuSim::step_sm_scan`], but it reads only the warps that can
+    /// issue or retire. The SM's [`SmWheel`] is drained to `now`, so
+    /// its ready mask is exactly the set the reference scan would find
+    /// ready; issue visits those warps in the reference order; the
+    /// retire pass checks only exhausted warps that are ready or were
+    /// polled this step (an exhausted warp with loads in flight has
+    /// `ready_at == ring_max > now`, so it cannot retire); and the wake
+    /// time comes from the wheel.
+    fn step_sm_ready(
+        ctx: &KernelCtx,
+        st: &mut KernelState,
+        sink: &mut MemSink<'_>,
+        soa: &mut SoaStats,
+        flat: usize,
+        now: u64,
+    ) -> SmStep {
+        let (sm_id, gpm, gpm_local) = Self::sm_coords(ctx, st, flat);
+        st.work.steps += 1;
+        let launched_from = st.pool.order_len[flat] as usize;
+        let cta_next = Self::refill_cta(ctx, st, soa, flat, gpm, gpm_local, now);
+        let issue_width = ctx.issue_width;
+        let KernelState {
+            pool,
+            counts,
+            work,
+            done_ctas,
+            ..
+        } = st;
+        let wbase = flat * pool.stride;
+        let n = pool.order_len[flat] as usize;
+        let mut w = pool.wheels[flat];
+        pool.drain(&mut w, flat, now, work);
+        // Warps launched this step are ready at `now`.
+        w.ready |= position_range(launched_from, n);
+        #[cfg(debug_assertions)]
+        pool.debug_check_wheel(flat, &w);
+
+        let mut issued = 0usize;
+        // Positions polled this step: with the ready ones, the only
+        // warps that can retire.
+        let mut polled = 0u64;
+        if n > 0 {
+            let start_rr = {
+                let r = pool.rr[flat] as usize;
+                if r >= n {
+                    r % n
+                } else {
+                    r
+                }
+            };
+            let ready = w.ready;
+            work.warps_examined += u64::from(ready.count_ones());
+            let mut first_issued_slot = NONE;
+            if !ctx.gto {
+                // Loose round robin: ready positions from `start_rr` up,
+                // then wrapping around from 0.
+                let ge_rr = position_range(start_rr, n);
+                let mut hi = ready & ge_rr;
+                let mut lo = ready & !ge_rr;
+                while issued < issue_width {
+                    let p = if hi != 0 {
+                        let p = hi.trailing_zeros() as usize;
+                        hi &= hi - 1;
+                        p
+                    } else if lo != 0 {
+                        let p = lo.trailing_zeros() as usize;
+                        lo &= lo - 1;
+                        p
+                    } else {
+                        break;
+                    };
+                    polled |= 1 << p;
+                    let s = pool.order[wbase + p];
+                    if Self::poll_position(
+                        pool, &mut w, counts, work, sink, ctx, sm_id, flat, p, s, now,
+                    ) {
+                        if first_issued_slot == NONE {
+                            first_issued_slot = s;
+                        }
+                        issued += 1;
+                    }
+                }
             } else {
-                wake
-            },
+                // Greedy-then-oldest: the greedy warp, then ascending
+                // age — the reference list walk restricted to ready
+                // warps, picked by selection over the (few) ready bits.
+                let greedy = pool.greedy[flat];
+                let mut rest = ready;
+                while issued < issue_width && rest != 0 {
+                    let mut best = (u64::MAX, 0usize);
+                    let mut m = rest;
+                    while m != 0 {
+                        let p = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        let s = pool.order[wbase + p];
+                        let key = if s == greedy {
+                            0
+                        } else {
+                            pool.age[wbase + s as usize] + 1
+                        };
+                        if key < best.0 {
+                            best = (key, p);
+                        }
+                    }
+                    let p = best.1;
+                    rest &= !(1 << p);
+                    polled |= 1 << p;
+                    let s = pool.order[wbase + p];
+                    if Self::poll_position(
+                        pool, &mut w, counts, work, sink, ctx, sm_id, flat, p, s, now,
+                    ) {
+                        if first_issued_slot == NONE {
+                            first_issued_slot = s;
+                        }
+                        issued += 1;
+                    }
+                }
+            }
+            pool.rr[flat] = if start_rr + 1 == n {
+                0
+            } else {
+                (start_rr + 1) as u32
+            };
+            if ctx.gto && first_issued_slot != NONE {
+                pool.greedy[flat] = first_issued_slot;
+            }
+        }
+
+        // Retire drained warps in the reference pass's order: the
+        // lowest retiring position first, the tail moving into its
+        // place (`swap_remove`) and being considered there in turn.
+        soa.mask_scans += 1;
+        if pool.exhausted_cnt[flat] > 0 {
+            let mut retiring = 0u64;
+            let mut m = w.ready | polled;
+            while m != 0 {
+                let p = m.trailing_zeros() as usize;
+                m &= m - 1;
+                let g = wbase + pool.order[wbase + p] as usize;
+                if pool.exhausted.get(g) {
+                    work.retire_checks += 1;
+                    pool.ring_retain(g, now);
+                    if pool.out_len[g] == 0 {
+                        retiring |= 1 << p;
+                    }
+                }
+            }
+            let mut len = n;
+            while retiring != 0 {
+                let p = retiring.trailing_zeros() as usize;
+                retiring &= !(1 << p);
+                let s = pool.order[wbase + p];
+                let g = wbase + s as usize;
+                pool.disarm(&mut w, flat, p, pool.ready_at[g], work);
+                let cslot = flat * pool.cta_stride + pool.cta_of[g] as usize;
+                pool.cta_live[cslot] -= 1;
+                if pool.cta_live[cslot] == 0 {
+                    pool.cta_free.set(cslot);
+                    pool.cta_free_cnt[flat] += 1;
+                    *done_ctas += 1;
+                }
+                pool.retire_slot(flat, s);
+                len -= 1;
+                if p != len {
+                    let tail = pool.order[wbase + len];
+                    pool.order[wbase + p] = tail;
+                    let ra = pool.ready_at[wbase + tail as usize];
+                    w.move_bit(&mut SmBuckets::new(&mut pool.buckets, flat), len, p, ra);
+                    if retiring & (1 << len) != 0 {
+                        retiring ^= (1 << len) | (1 << p);
+                    }
+                }
+            }
+            pool.order_len[flat] = len as u32;
+        } else {
+            soa.retire_scans_skipped += 1;
+        }
+
+        pool.wheels[flat] = w;
+        let wake = w.wake(now);
+        #[cfg(debug_assertions)]
+        {
+            pool.debug_check_wheel(flat, &w);
+            assert_eq!(
+                wake,
+                pool.next_ready(flat).max(now + 1),
+                "SM {flat}: wheel wake is not exact"
+            );
+        }
+        SmStep {
+            issued,
+            resident: pool.resident(flat),
+            cta_pending: cta_next.is_some(),
+            free_slot: pool.cta_free_cnt[flat] > 0,
+            wake,
         }
     }
 
@@ -1602,7 +2309,7 @@ impl GpuSim {
 
             for flat in 0..total_sms {
                 let mut sink = MemSink::Direct(&mut self.mem);
-                let step = Self::step_sm(ctx, st, &mut sink, &mut self.soa, flat, now);
+                let step = Self::step_sm_scan(ctx, st, &mut sink, &mut self.soa, flat, now);
                 if step.issued > 0 {
                     issued_any = true;
                 }
@@ -2305,6 +3012,173 @@ mod tests {
         let rn = naive.run_kernel(&EmptyKernel);
         assert_eq!(re, rn);
         assert_eq!(re.ctas, 3);
+    }
+
+    /// A kernel whose warp `w` of every CTA runs `lens[w]` instructions,
+    /// alternating FMAs with private loads.
+    struct LenKernel {
+        ctas: u32,
+        lens: Vec<u32>,
+    }
+
+    impl KernelProgram for LenKernel {
+        fn name(&self) -> &str {
+            "lens"
+        }
+        fn grid(&self) -> GridShape {
+            GridShape::new(self.ctas, self.lens.len() as u32)
+        }
+        fn warp_instructions(&self, cta: CtaId, warp: WarpId) -> WarpInstrStream {
+            let len = self.lens[warp.0 as usize];
+            let base = (cta.0 as u64 * self.lens.len() as u64 + warp.0 as u64) * 64 * 128;
+            isa::iter_stream((0..len as u64).map(move |i| {
+                if i % 2 == 0 {
+                    WarpInstr::Compute(Opcode::FFma32)
+                } else {
+                    WarpInstr::Mem(MemRef::global_load(base + i * 128))
+                }
+            }))
+        }
+    }
+
+    /// Shadow-runs `k` on `cfg` (the naive reference asserts the event
+    /// loop internally) and returns the event loop's work counters.
+    fn shadow_work(cfg: &GpuConfig, k: &dyn KernelProgram) -> WorkStats {
+        let mut sim = GpuSim::with_mode(cfg, EngineMode::Shadow);
+        sim.prefault(k);
+        let mut event = GpuSim::with_mode(cfg, EngineMode::EventDriven);
+        event.prefault(k);
+        assert_eq!(sim.run_kernel(k), event.run_kernel(k));
+        event.work_stats()
+    }
+
+    #[test]
+    fn wheel_files_loads_slower_than_its_horizon() {
+        // 500-cycle DRAM: every miss lands in the far mask, and an SM
+        // whose warps all wait on DRAM sleeps longer than the wheel
+        // spans, so its next step drains every bucket and rescans far.
+        let k = StreamKernel {
+            ctas: 16,
+            warps: 4,
+            lines_per_warp: 24,
+        };
+        for scheduler in [
+            crate::config::WarpScheduler::LooseRoundRobin,
+            crate::config::WarpScheduler::GreedyThenOldest,
+        ] {
+            let mut cfg = GpuConfig {
+                warp_scheduler: scheduler,
+                ..GpuConfig::tiny(2)
+            };
+            cfg.gpm.dram_latency = 500;
+            let w = shadow_work(&cfg, &k);
+            assert!(w.far_rescans > 0, "{scheduler:?}: far mask never rescanned");
+        }
+    }
+
+    #[test]
+    fn ready_times_at_the_horizon_edge_agree() {
+        // L1 hits 63, 64 and 65 cycles out: the last bucket, the first
+        // far time, one past it.
+        let k = LenKernel {
+            ctas: 12,
+            lens: vec![9, 17, 33, 5],
+        };
+        for l1 in [63, 64, 65] {
+            let mut cfg = GpuConfig::tiny(1);
+            cfg.gpm.l1_latency = l1;
+            cfg.gpm.l2_latency = l1 + 1;
+            shadow_work(&cfg, &k);
+        }
+    }
+
+    #[test]
+    fn retire_moving_the_tail_position_agrees() {
+        // Warp 0 (position 0) is the shortest, so it retires while the
+        // longer warps behind it live: its retire moves the tail warp
+        // into position 0, carrying that warp's wheel bit along.
+        let k = LenKernel {
+            ctas: 6,
+            lens: vec![2, 40, 9, 31],
+        };
+        for scheduler in [
+            crate::config::WarpScheduler::LooseRoundRobin,
+            crate::config::WarpScheduler::GreedyThenOldest,
+        ] {
+            let cfg = GpuConfig {
+                warp_scheduler: scheduler,
+                ..GpuConfig::tiny(1)
+            };
+            let w = shadow_work(&cfg, &k);
+            assert_eq!(w.cta_refills, 6);
+        }
+    }
+
+    #[test]
+    fn work_counters_split_scan_from_ready_mask() {
+        // Both loops poll exactly the same warps; the ready mask only
+        // looks at fewer of them to find those.
+        let k = StreamKernel {
+            ctas: 24,
+            warps: 4,
+            lines_per_warp: 32,
+        };
+        let cfg = GpuConfig::tiny(2);
+        let mut event = GpuSim::with_mode(&cfg, EngineMode::EventDriven);
+        let mut naive = GpuSim::with_mode(&cfg, EngineMode::Naive);
+        event.prefault(&k);
+        naive.prefault(&k);
+        assert_eq!(event.run_kernel(&k), naive.run_kernel(&k));
+        let (we, wn) = (event.work_stats(), naive.work_stats());
+        assert_eq!(we.polls, wn.polls);
+        assert_eq!(we.issued, wn.issued);
+        assert_eq!(we.mlp_stalls, wn.mlp_stalls);
+        assert_eq!(we.cta_refills, 24);
+        assert_eq!(wn.cta_refills, 24);
+        assert_eq!(we.issued, 24 * 4 * 32, "one issue per warp instruction");
+        assert!(we.warps_examined < wn.warps_examined);
+        assert!(we.retire_checks < wn.retire_checks);
+        assert!(we.steps < wn.steps);
+        assert_eq!(we.steps, event.fast_forward_stats().sm_steps);
+        assert_eq!(wn.far_rescans, 0, "the reference scan keeps no wheel");
+    }
+
+    #[test]
+    fn pool_reuse_across_mask_and_scan_shapes_agrees() {
+        // 16 slots per SM (ready mask), then 65-warp CTAs (65 slots: the
+        // reference scan), then back: the reused pool and its wheel must
+        // reshape cleanly each time.
+        let mut shadow = GpuSim::with_mode(&GpuConfig::tiny(2), EngineMode::Shadow);
+        let mut event = GpuSim::with_mode(&GpuConfig::tiny(2), EngineMode::EventDriven);
+        let launches = vec![
+            LaunchSpec::repeated(
+                Box::new(LenKernel {
+                    ctas: 8,
+                    lens: vec![5, 12, 3, 8],
+                }),
+                1,
+            ),
+            LaunchSpec::repeated(
+                Box::new(ComputeKernel {
+                    ctas: 3,
+                    warps: 65,
+                    len: 12,
+                }),
+                1,
+            ),
+            LaunchSpec::repeated(
+                Box::new(StreamKernel {
+                    ctas: 8,
+                    warps: 2,
+                    lines_per_warp: 10,
+                }),
+                2,
+            ),
+        ];
+        assert_eq!(
+            shadow.run_workload(&launches),
+            event.run_workload(&launches)
+        );
     }
 
     /// Runs `k` under the event-driven and the parallel engine (with

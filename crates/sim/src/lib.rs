@@ -47,7 +47,7 @@ pub use bits::BitWords;
 pub use config::{
     BwSetting, CtaSchedule, GpmConfig, GpuConfig, L2Mode, PagePolicy, Topology, WarpScheduler,
 };
-pub use engine::{EngineMode, FastForwardStats, GpuSim, SoaStats};
+pub use engine::{EngineMode, FastForwardStats, GpuSim, SoaStats, WorkStats};
 pub use inflight::InflightTable;
 pub use memory::{MemOutcome, MemorySystem, UtilizationReport};
 pub use par::{ParStats, SIM_THREADS_ENV};

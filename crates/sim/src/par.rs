@@ -30,7 +30,7 @@
 
 use crate::engine::{
     debug_assert_no_skip, merge_deferred, shard_state, DeferredAccess, EventLoopState,
-    FastForwardStats, KernelCtx, KernelState, MemSink, SoaStats,
+    FastForwardStats, KernelCtx, KernelState, MemSink, SoaStats, WorkStats,
 };
 use crate::memory::MemorySystem;
 use isa::EventCounts;
@@ -186,7 +186,7 @@ impl Shard {
         let mut els = EventLoopState::default();
         els.reset((hi - lo) * ctx.sms_per_gpm, start);
         Shard {
-            st: shard_state(ctx, max_ctas_per_sm, lo, hi),
+            st: shard_state(ctx, max_ctas_per_sm, lo, hi, start),
             els,
             queue: Vec::new(),
             issued_any: false,
@@ -331,6 +331,7 @@ pub(crate) fn run_shards(
     par: &mut ParStats,
     ff: &mut FastForwardStats,
     soa: &mut SoaStats,
+    work: &mut WorkStats,
     ctx: &KernelCtx<'_>,
     max_ctas_per_sm: usize,
     threads: usize,
@@ -421,6 +422,7 @@ pub(crate) fn run_shards(
         ff.sm_steps += shard.sm_steps;
         soa.mask_scans += shard.soa.mask_scans;
         soa.retire_scans_skipped += shard.soa.retire_scans_skipped;
+        work.add(&shard.st.work);
     }
 
     par.kernels += 1;

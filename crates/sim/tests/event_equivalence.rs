@@ -197,6 +197,151 @@ proptest! {
         prop_assert_eq!(event.memory().txns(), naive.memory().txns());
     }
 
+    /// Slot capacities at the ready-mask word edge: 63 and 64 slots per
+    /// SM step through the event loop's ready mask, 65 through the
+    /// reference scan. Under both scheduler policies the event loop must
+    /// stay bit-identical to the naive reference.
+    #[test]
+    fn slots_per_sm_at_the_ready_mask_edge(
+        seed in any::<u64>(),
+        cfg_bits in any::<u64>(),
+        slots in 63usize..=65,
+        ctas in 60u32..=70,
+        max_instrs in 1u32..24,
+    ) {
+        let mut cfg = fuzz_config(cfg_bits, 1);
+        cfg.gpm.sms = 1;
+        cfg.gpm.max_resident_warps = slots;
+        let kernel = FuzzKernel { seed, ctas, warps_per_cta: 1, max_instrs };
+
+        let mut event = GpuSim::with_mode(&cfg, EngineMode::EventDriven);
+        let mut naive = GpuSim::with_mode(&cfg, EngineMode::Naive);
+        event.prefault(&kernel);
+        naive.prefault(&kernel);
+        let re = event.run_kernel(&kernel);
+        let rn = naive.run_kernel(&kernel);
+        prop_assert_eq!(&re, &rn);
+        prop_assert_eq!(event.memory().txns(), naive.memory().txns());
+        // Only the masked capacities use the timing wheel.
+        if slots > 64 {
+            prop_assert_eq!(event.work_stats().far_rescans, 0);
+        }
+    }
+
+    /// Ready times on both sides of the ready-mask timing wheel's
+    /// 64-cycle horizon: cache and DRAM latencies drawn at and around
+    /// it put loads in the last bucket, just past it in the far mask,
+    /// and far beyond (SMs then sleep longer than the wheel spans).
+    /// Both scheduler policies, with and without the MLP-limit stall.
+    #[test]
+    fn ready_times_straddle_the_wheel_horizon(
+        seed in any::<u64>(),
+        cfg_bits in any::<u64>(),
+        gpms in 1usize..4,
+        l1 in prop_oneof![Just(1u64), Just(62u64), Just(63u64), Just(64u64), Just(65u64)],
+        l2 in prop_oneof![Just(63u64), Just(64u64), Just(65u64), Just(129u64)],
+        dram in prop_oneof![Just(64u64), Just(65u64), Just(200u64), Just(700u64)],
+        mlp in prop_oneof![Just(1usize), Just(4usize)],
+        ctas in 1u32..16,
+        warps in 1u32..5,
+        max_instrs in 0u32..32,
+    ) {
+        let mut cfg = fuzz_config(cfg_bits, gpms);
+        cfg.gpm.l1_latency = l1;
+        cfg.gpm.l2_latency = l2;
+        cfg.gpm.dram_latency = dram;
+        cfg.gpm.mlp_per_warp = mlp;
+        let kernel = FuzzKernel { seed, ctas, warps_per_cta: warps, max_instrs };
+
+        let mut event = GpuSim::with_mode(&cfg, EngineMode::EventDriven);
+        let mut naive = GpuSim::with_mode(&cfg, EngineMode::Naive);
+        event.prefault(&kernel);
+        naive.prefault(&kernel);
+        for _ in 0..2 {
+            let re = event.run_kernel(&kernel);
+            let rn = naive.run_kernel(&kernel);
+            prop_assert_eq!(&re, &rn);
+        }
+        prop_assert_eq!(event.memory().txns(), naive.memory().txns());
+        // Both loops poll exactly the same warps; only how many they
+        // look at to find them differs.
+        let (we, wn) = (event.work_stats(), naive.work_stats());
+        prop_assert_eq!(
+            (we.polls, we.issued, we.mlp_stalls, we.cta_refills),
+            (wn.polls, wn.issued, wn.mlp_stalls, wn.cta_refills)
+        );
+        prop_assert!(we.warps_examined <= wn.warps_examined);
+    }
+
+    /// One simulator reused across kernel shapes: CTA widths that give
+    /// 64, 63, 60 and 65 slots per SM (the last past the ready mask's
+    /// word, so the pool switches from the mask to the reference scan)
+    /// and back, each kernel reshaping the reused warp pool and
+    /// timing wheel. State carried across launches must stay in
+    /// lockstep with the naive reference.
+    #[test]
+    fn pool_reuse_across_kernel_shapes_stays_equivalent(
+        seed in any::<u64>(),
+        cfg_bits in any::<u64>(),
+        gpms in 1usize..3,
+        max_instrs in 0u32..24,
+    ) {
+        let mut cfg = fuzz_config(cfg_bits, gpms);
+        cfg.gpm.max_resident_warps = 64;
+        let mut event = GpuSim::with_mode(&cfg, EngineMode::EventDriven);
+        let mut naive = GpuSim::with_mode(&cfg, EngineMode::Naive);
+        for (i, warps) in [1u32, 3, 20, 65, 1, 3].into_iter().enumerate() {
+            let kernel = FuzzKernel {
+                seed: seed.wrapping_add(i as u64),
+                ctas: 9,
+                warps_per_cta: warps,
+                max_instrs,
+            };
+            event.prefault(&kernel);
+            naive.prefault(&kernel);
+            let re = event.run_kernel(&kernel);
+            let rn = naive.run_kernel(&kernel);
+            prop_assert_eq!(&re, &rn);
+        }
+        prop_assert_eq!(event.memory().txns(), naive.memory().txns());
+    }
+
+    /// The parallel shards step through the ready mask too, and their
+    /// deferred merges re-arm it: write-buffer backpressure and the
+    /// drain times of exhausted warps replace provisional ready times
+    /// after the shards ran. Against the naive reference (not the
+    /// serial event loop, which shares the mask), with latencies around
+    /// the wheel horizon and both scheduler policies.
+    #[test]
+    fn parallel_shards_rearm_deferred_merges_exactly(
+        seed in any::<u64>(),
+        cfg_bits in any::<u64>(),
+        gpms in 1usize..5,
+        threads in 1usize..4,
+        l1 in prop_oneof![Just(28u64), Just(63u64), Just(64u64)],
+        dram in prop_oneof![Just(65u64), Just(260u64)],
+        ctas in 1u32..20,
+        warps in 1u32..5,
+        max_instrs in 0u32..32,
+    ) {
+        let mut cfg = fuzz_config(cfg_bits, gpms);
+        cfg.gpm.l1_latency = l1;
+        cfg.gpm.dram_latency = dram;
+        let kernel = FuzzKernel { seed, ctas, warps_per_cta: warps, max_instrs };
+
+        let mut naive = GpuSim::with_mode(&cfg, EngineMode::Naive);
+        let mut par = GpuSim::with_mode(&cfg, EngineMode::Parallel);
+        par.set_sim_threads(Some(threads));
+        naive.prefault(&kernel);
+        par.prefault(&kernel);
+        for _ in 0..2 {
+            let rn = naive.run_kernel(&kernel);
+            let rp = par.run_kernel(&kernel);
+            prop_assert_eq!(&rp, &rn);
+        }
+        prop_assert_eq!(par.memory().txns(), naive.memory().txns());
+    }
+
     /// The per-warp outstanding-load ring at its configuration extremes:
     /// `mlp_per_warp` of 1 (every load serializes, the MLP-limit stall
     /// path fires constantly) through values beyond any warp's load
